@@ -1,9 +1,9 @@
-"""A14 — Host-telemetry perf gate: ≤ 5% wall overhead, bit-exact, shard-aware.
+"""A14 — Host-telemetry perf gate: ≤ 5% wall overhead, bit-exact.
 
 Host telemetry (``repro.obs.host``) only earns its place if turning it
 on is close to free and turning it off is invisible.  This experiment
 pins both on the A10 grid (Fig. 2's allgather sweep over the paper
-lineup) run on the sharded engine:
+lineup) run on the default engine:
 
 * **overhead gate** — the sweep runs with telemetry disabled and
   inside ``host.tracing()``, rounds interleaved off/on so machine
@@ -13,10 +13,8 @@ lineup) run on the sharded engine:
   grids: tracing observes the simulator, it never perturbs it;
 * **trace validity** — the captured host trace must pass
   ``validate_chrome_trace``, the same schema checker CI runs on
-  sim-time Perfetto exports;
-* **imbalance attribution** — a deliberately lopsided run (5 nodes on
-  4 shards, so shard0 owns two nodes' worth of events) must name
-  ``shard0`` as the slowest shard in the window-stall breakdown.
+  sim-time Perfetto exports, and carry one ``bench.cell`` span per
+  cell.
 
 Scale: ``REPRO_BENCH_SCALE=small`` drops to 16 × 6 so the experiment
 smoke-runs anywhere; CI's perf-gate job runs it at the paper's
@@ -53,7 +51,6 @@ MAX_OVERHEAD = float(os.environ.get("REPRO_A14_MAX_OVERHEAD", "0.05"))
 ROUNDS = int(os.environ.get("REPRO_A14_ROUNDS", "3"))
 
 COLLECTIVE = "allgather"
-ENGINE = "sharded:4"
 
 
 def _params():
@@ -70,7 +67,7 @@ def _grid_records(sweep):
 
 def _timed_sweep(params):
     t0 = time.perf_counter()
-    sweep = run_sweep(COLLECTIVE, SIZES, params, engine=ENGINE)
+    sweep = run_sweep(COLLECTIVE, SIZES, params)
     return sweep, time.perf_counter() - t0
 
 
@@ -115,27 +112,12 @@ def test_a14_telemetry_overhead(benchmark):
     trace = report.to_perfetto()
     n_events = validate_chrome_trace(trace)
     assert report.bench_summary()["cells"] == cells
-    assert report.window_summary()["windows"] > 0
-    shards = report.shard_breakdown()
-    assert len(shards) == 4  # one stall row per engine shard
-
-    # -- imbalance attribution: 5 nodes on 4 shards --------------------
-    # shard_of_node = [0, 0, 1, 2, 3]: shard0 simulates two nodes'
-    # worth of events, so the stall table must point at it.
-    with host.tracing() as t_imb:
-        run_sweep(COLLECTIVE, [256], broadwell_opa(nodes=5, ppn=4),
-                  libraries=["PiP-MColl"], engine=ENGINE)
-    imbalance = HostReport(t_imb)
-    slowest = imbalance.slowest_shard()
-    assert slowest == "shard0", \
-        f"imbalanced run blamed {slowest}, expected shard0"
 
     # -- artifacts ------------------------------------------------------
     out = {
         "scale": bench_scale(),
         "nodes": params.nodes,
         "ppn": params.ppn,
-        "engine": ENGINE,
         "cells": cells,
         "disabled_s": off_s,
         "enabled_s": on_s,
@@ -144,19 +126,14 @@ def test_a14_telemetry_overhead(benchmark):
         "rounds": ROUNDS,
         "bit_exact": True,
         "trace_events": n_events,
-        "slowest_shard": slowest,
-        "shard_busy_s": {k: v["busy_s"] for k, v in
-                         imbalance.shard_breakdown().items()},
         "host": report.as_dict(),
     }
     lines = [f"A14 telemetry overhead: {COLLECTIVE} Fig.2 sweep, "
-             f"{params.nodes}x{params.ppn}, engine {ENGINE}, "
-             f"{cells} cells",
+             f"{params.nodes}x{params.ppn}, {cells} cells",
              f"  disabled  {off_s:8.2f}s  (min of {ROUNDS})",
              f"  enabled   {on_s:8.2f}s  (min of {ROUNDS}, bit-exact)",
              f"  overhead  {overhead:+8.1%}  (gate: <= {MAX_OVERHEAD:.0%})",
-             f"  trace     {n_events} events, schema-valid",
-             f"  imbalance 5 nodes / 4 shards -> slowest = {slowest}"]
+             f"  trace     {n_events} events, schema-valid"]
     save_result("a14_telemetry_overhead", "\n".join(lines))
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "a14_telemetry_overhead.json").write_text(

@@ -66,12 +66,12 @@ def test_a4_node_scaling(benchmark):
 # ---------------------------------------------------------------------------
 # A4b — engine fast path at scale.
 # ---------------------------------------------------------------------------
-def _measure_engine(nodes: int, fastpath: bool):
+def _measure_engine(nodes: int, engine: str):
     """Wall-clock one MPICH 64 B allgather point at ``nodes`` × 18."""
     params = broadwell_opa(nodes=nodes, ppn=18)
     t0 = time.perf_counter()
     point = bench_collective("MPICH", "allgather", 64, params,
-                             warmup=1, iters=2, fastpath=fastpath)
+                             warmup=1, iters=2, engine=engine)
     return time.perf_counter() - t0, point
 
 
@@ -91,8 +91,8 @@ def test_a4_engine_fast_path_speedup(benchmark):
     def run():
         out = {}
         for nodes in (64, 128):
-            fast_wall, fast_pt = _measure_engine(nodes, fastpath=True)
-            slow_wall, slow_pt = _measure_engine(nodes, fastpath=False)
+            fast_wall, fast_pt = _measure_engine(nodes, "calendar")
+            slow_wall, slow_pt = _measure_engine(nodes, "reference")
             out[nodes] = (fast_wall, slow_wall, fast_pt, slow_pt)
         return out
 

@@ -534,7 +534,7 @@ class Session:
         self.trace = trace
         #: record per-resource busy/queue timelines during runs
         self.resources = resources
-        #: requested engine — name (``"sharded:8"``), resolved
+        #: requested engine — name (``"reference"``), resolved
         #: :class:`~repro.sim.spec.EngineSpec`, or None (default).
         #: The *resolved* spec of each run is on ``RunResult.engine``.
         self.engine = engine
@@ -543,8 +543,8 @@ class Session:
     def run(self, app: Callable[[VComm], Any]) -> RunResult:
         """Run an mpi4py-style generator app on every rank."""
         # The recorder rides through the World constructor (not
-        # attach_obs) so engine resolution sees it — sharded/analytic
-        # requests auto-downgrade instead of erroring.
+        # attach_obs) so engine resolution sees it and records the
+        # fast-path downgrade.
         recorder = SpanRecorder() if self.trace else None
         world: World = self._lib.make_world(self.machine,
                                             resources=self.resources,

@@ -135,7 +135,6 @@ def bench_collective(
     root: int = 0,
     faults=None,
     reliable: bool = False,
-    fastpath: Optional[bool] = None,
     resources: bool = False,
     attribution: bool = False,
     engine=None,
@@ -145,12 +144,9 @@ def bench_collective(
 
     ``faults`` (a :class:`~repro.faults.FaultPlan`) and ``reliable``
     turn the measurement into a chaos point: same harness, same
-    timing convention, lossy wire underneath.  ``fastpath`` forwards
-    to :class:`~repro.runtime.world.World` (``False`` forces the
-    reference event path — what the perf-regression gate compares
-    against).  ``engine`` selects the simulation engine — a name like
-    ``"sharded:8x4"`` or an :class:`~repro.sim.EngineSpec`; see
-    ``docs/ENGINE.md`` for the selection matrix.
+    timing convention, lossy wire underneath.  ``engine`` selects the
+    simulation engine — ``"calendar"`` (default), ``"reference"`` or
+    an :class:`~repro.sim.EngineSpec`; see ``docs/ENGINE.md``.
 
     ``resources=True`` attaches a
     :class:`~repro.obs.resources.ResourceMonitor` (fast-path safe) and
@@ -164,13 +160,12 @@ def bench_collective(
     ``cache`` (a directory path or :class:`~repro.service.ResultCache`)
     routes the point through the content-addressed result cache: a
     warm cell costs one file read and returns a byte-identical point.
-    Chaos points (``faults``/``reliable``), forced engine paths
-    (``fastpath`` not None), and non-content-addressable libraries
-    bypass the cache and measure directly — the cache only ever holds
-    clean, reconstructable measurements (see ``docs/SERVICE.md``).
+    Chaos points (``faults``/``reliable``) and non-content-addressable
+    libraries bypass the cache and measure directly — the cache only
+    ever holds clean, reconstructable measurements (see
+    ``docs/SERVICE.md``).
     """
-    if (cache is not None and faults is None and not reliable
-            and fastpath is None):
+    if cache is not None and faults is None and not reliable:
         from ..service import CacheKeyError, cached_bench_collective
 
         try:
@@ -189,8 +184,7 @@ def bench_collective(
         raise ValueError("need warmup >= 0 and iters >= 1")
     world = lib.make_world(params, functional=functional,
                            faults=faults, reliable=reliable,
-                           fastpath=fastpath, resources=resources,
-                           engine=engine)
+                           resources=resources, engine=engine)
     size = world.comm_world.size
     algo = lib.wrapped(collective, nbytes, size)
     monitor = world.resources

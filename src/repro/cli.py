@@ -38,10 +38,10 @@ Commands
     any modeled library/machine/engine; ``--trace`` exports the
     Perfetto timeline (docs/SHIM.md).
 ``telemetry``
-    Run a sweep under *host* (wall-clock) tracing and summarize worker
-    utilization, the window-stall breakdown by shard, and cache/queue
-    efficiency; ``--trace``/``--metrics``/``--json`` export a validated
-    Perfetto host trace, a metrics snapshot, and the summary the
+    Run a sweep under *host* (wall-clock) tracing and summarize cache
+    and queue efficiency and per-cell wall cost;
+    ``--trace``/``--metrics``/``--json`` export a validated Perfetto
+    host trace, a metrics snapshot, and the summary the
     report's host section ingests (docs/OBSERVABILITY.md).
 """
 
@@ -83,18 +83,14 @@ def _library_spec(text: str):
 
 
 def _engine_spec(text: str):
-    """An --engine value: name or ``sharded:<shards>[x<workers>]``
-    (validated at parse time; downgrade rules apply at world build)."""
-    from .sim.spec import ENGINE_NAMES, _parse_engine
+    """An --engine value: an engine name (validated at parse time; the
+    downgrade rule applies at world build)."""
+    from .sim.spec import resolve_engine
 
     try:
-        name, _shards, _workers = _parse_engine(text)
+        resolve_engine(text)
     except ValueError as err:
         raise argparse.ArgumentTypeError(str(err)) from None
-    if name not in ENGINE_NAMES:
-        raise argparse.ArgumentTypeError(
-            f"unknown engine {text!r}; available: {', '.join(ENGINE_NAMES)}"
-        )
     return text
 
 
@@ -334,8 +330,6 @@ def cmd_shim_run(args) -> int:
     print(f"{args.script} on {machine.nodes}x{machine.ppn} simulated ranks "
           f"({result.library}, engine {result.engine.name}): "
           f"{result.elapsed * 1e6:.2f} us simulated")
-    for note in result.shim_notes:
-        print(f"note: {note}")
     for note in result.engine.downgrades:
         print(f"engine: {note}")
     if args.trace:
@@ -522,9 +516,9 @@ def cmd_info(args) -> int:
     print(f"\ncollectives: {', '.join(COLLECTIVES)}")
     from .sim.spec import ENGINE_NAMES, resolve_engine
 
-    print("\nengines (see docs/ENGINE.md for downgrade rules):")
+    print("\nengines (see docs/ENGINE.md for the downgrade rule):")
     for name in ENGINE_NAMES:
-        spec = resolve_engine(name, nodes=16)
+        spec = resolve_engine(name)
         print(f"  {name:10s} {spec.describe()}")
     if getattr(args, "cache", None):
         from .service import CACHE_LAYOUT_VERSION, ResultCache
@@ -554,8 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--iters", type=int, default=3)
     p.add_argument("--engine", type=_engine_spec, default=None,
-                   help="simulation engine: reference, calendar (default), "
-                        "sharded[:<shards>[x<workers>]], analytic")
+                   help="simulation engine: calendar (default) or "
+                        "reference")
     _add_machine_args(p, nodes=16, ppn=6)
     p.set_defaults(fn=cmd_bench)
 
@@ -568,8 +562,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iters", type=int, default=2)
     p.add_argument("--plot", action="store_true", help="ASCII figure too")
     p.add_argument("--engine", type=_engine_spec, default=None,
-                   help="simulation engine: reference, calendar (default), "
-                        "sharded[:<shards>[x<workers>]], analytic")
+                   help="simulation engine: calendar (default) or "
+                        "reference")
     p.add_argument("--cache", default=None,
                    help="content-addressed result cache directory "
                         "(warm cells are file reads — see docs/SERVICE.md)")
@@ -604,9 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated (default: the paper lineup)")
     p.add_argument("--warmup", type=int, default=1)
     p.add_argument("--iters", type=int, default=2)
-    p.add_argument("--engine", type=_engine_spec, default="sharded:4",
-                   help="simulation engine (default sharded:4 — shard "
-                        "tracks are the point of the exercise)")
+    p.add_argument("--engine", type=_engine_spec, default=None,
+                   help="simulation engine: calendar (default) or "
+                        "reference")
     p.add_argument("--cache", default=None,
                    help="route the sweep through a result cache directory")
     p.add_argument("--workers", type=int, default=1,
@@ -707,9 +701,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--library", default="PiP-MColl", type=_library_spec,
                    help=f"one of {available_libraries()} or 'tuned:<db>'")
     s.add_argument("--engine", type=_engine_spec, default=None,
-                   help="simulation engine: reference, calendar (default), "
-                        "sharded[:<shards>] (shim forces workers=1), "
-                        "analytic")
+                   help="simulation engine: calendar (default) or "
+                        "reference")
     s.add_argument("--trace", default=None,
                    help="write the run's Perfetto trace JSON here")
     s.add_argument("--validate", action="store_true",

@@ -139,12 +139,6 @@ class MpiLibrary:
             obs = ctx.world.obs
             if obs is None:
                 yield ctx.sim.timeout(overhead)
-                analytic = ctx.world.analytic
-                if analytic is not None:
-                    gen = analytic.intercept(algo, ctx, args, kwargs)
-                    if gen is not None:
-                        yield from gen
-                        return
                 yield from algo(ctx, *args, **kwargs)
                 return
             with obs.span(ctx.rank, collective, cat="collective",

@@ -4,9 +4,8 @@ Everything else in :mod:`repro.obs` measures **simulated** time: spans
 on the virtual clock, resource timelines, LogGP attribution.  This
 module measures the other clock — the wall-clock cost of running the
 simulator itself — and answers the questions the sim-time layer
-cannot: which shard stalls the window?  Is a forked worker idle?
-What is the live cache hit ratio?  How long does one tuner candidate
-really take?
+cannot: what is the live cache hit ratio?  Which bench cell is slow?
+How long does one tuner candidate really take?
 
 Design constraints (see docs/OBSERVABILITY.md):
 
@@ -14,19 +13,19 @@ Design constraints (see docs/OBSERVABILITY.md):
   point is one ``tracer is None`` check; host telemetry never touches
   simulation state, so enabled runs produce byte-identical *results*
   too (the differential suite asserts both);
-* **fork-safe, exactly-once** — the host runtime forks workers
-  (:mod:`repro.sim.parallel`, :mod:`repro.service.queue`) that inherit
-  the active tracer *and its buffered events*.  Buffers are keyed by
-  PID: the first write after a fork discards the inherited copy, so a
-  child's :meth:`~HostTracer.drain` ships only events the child itself
+* **fork-safe, exactly-once** — the sweep queue
+  (:mod:`repro.service.queue`) forks workers that inherit the active
+  tracer *and its buffered events*.  Buffers are keyed by PID: the
+  first write after a fork discards the inherited copy, so a child's
+  :meth:`~HostTracer.drain` ships only events the child itself
   emitted, and the parent's :meth:`~HostTracer.absorb` merges them
   exactly once;
 * **bounded** — per-event detail is capped (``max_events``); every
   span *always* folds into per-``(name, track)`` aggregates
   (count/total/max), so summaries stay exact when traces truncate.
 
-Exports: :meth:`HostReport.to_perfetto` (workers/shards/cache/queue as
-tracks, validated by the same
+Exports: :meth:`HostReport.to_perfetto` (cache/queue/bench/tuner as
+tracks, forked workers as processes, validated by the same
 :func:`~repro.obs.perfetto.validate_chrome_trace` schema checker CI
 runs on sim traces), :meth:`HostReport.metrics` (the
 :class:`~repro.obs.metrics.Metrics` registry → snapshot JSON), and
@@ -260,68 +259,10 @@ class HostReport:
     """Summaries, exports and the CLI text for one tracer's telemetry."""
 
     #: bump on any incompatible change to :meth:`as_dict`
-    SCHEMA = 1
+    SCHEMA = 2
 
     def __init__(self, tracer: HostTracer) -> None:
         self.tracer = tracer
-
-    # -- engine --------------------------------------------------------
-    def shard_breakdown(self) -> Dict[str, Dict[str, float]]:
-        """Per-shard window-advance wall cost: the stall table.
-
-        Keys are shard tracks (``shard0``…); ``busy_s`` is the total
-        wall time that shard's queue advances took across every
-        window — the shard with the largest total is the one stalling
-        conservative windows (ROADMAP item 1's partitioning input).
-        """
-        out = {}
-        for (name, track), (count, total, peak) in \
-                self.tracer.aggregates().items():
-            if name == "shard.advance":
-                out[track] = {"advances": count, "busy_s": total,
-                              "max_s": peak}
-        return dict(sorted(out.items()))
-
-    def slowest_shard(self) -> Optional[str]:
-        """The shard track with the largest total advance wall time."""
-        shards = self.shard_breakdown()
-        if not shards:
-            return None
-        return max(shards, key=lambda t: shards[t]["busy_s"])
-
-    def worker_utilization(self) -> Dict[str, Dict[str, float]]:
-        """Per forked engine worker: busy vs idle wall time."""
-        busy: Dict[str, List[float]] = {}
-        idle: Dict[str, List[float]] = {}
-        for (name, track), agg in self.tracer.aggregates().items():
-            if name == "worker.window":
-                busy[track] = agg
-            elif name == "worker.idle":
-                idle[track] = agg
-        out = {}
-        for track in sorted(set(busy) | set(idle)):
-            b = busy.get(track, [0, 0.0, 0.0])[1]
-            i = idle.get(track, [0, 0.0, 0.0])[1]
-            wall = b + i
-            out[track] = {"busy_s": b, "idle_s": i,
-                          "windows": busy.get(track, [0])[0],
-                          "utilization": b / wall if wall else 0.0}
-        return out
-
-    def window_summary(self) -> Dict[str, Any]:
-        agg = self.tracer.aggregates()
-        windows = agg.get(("engine.window", "engine"))
-        rounds = agg.get(("coord.round", "coordinator"))
-        counters = self.tracer.counters()
-        crossings = sum(v for (n, _items), v in counters.items()
-                        if n == "cross_worker_msgs_total")
-        return {
-            "windows": windows[0] if windows else 0,
-            "window_wall_s": windows[1] if windows else 0.0,
-            "coordinator_rounds": rounds[0] if rounds else 0,
-            "coordinator_wall_s": rounds[1] if rounds else 0.0,
-            "cross_worker_msgs": int(crossings),
-        }
 
     # -- service -------------------------------------------------------
     def _counter_by(self, name: str, label: str) -> Dict[str, float]:
@@ -376,10 +317,6 @@ class HostReport:
         return {
             "schema": self.SCHEMA,
             "clock": "wall",
-            "engine": self.window_summary(),
-            "shards": self.shard_breakdown(),
-            "slowest_shard": self.slowest_shard(),
-            "workers": self.worker_utilization(),
             "cache": self.cache_summary(),
             "queue": self.queue_summary(),
             "bench": self.bench_summary(),
@@ -412,9 +349,8 @@ class HostReport:
         """The host trace as a Trace Event Format object.
 
         One Perfetto *process* row per OS process (parent first), one
-        *thread* row per telemetry track (engine, shards, workers,
-        cache, queue, bench, tuner), spans as ``"X"`` and markers as
-        ``"i"`` events.  Validates against
+        *thread* row per telemetry track (cache, queue, bench, tuner),
+        spans as ``"X"`` and markers as ``"i"`` events.  Validates against
         :func:`~repro.obs.perfetto.validate_chrome_trace` — the same
         schema checker the sim-time traces go through.
         """
@@ -470,33 +406,6 @@ class HostReport:
     def format(self) -> str:
         """The ``python -m repro telemetry`` summary."""
         lines = ["host telemetry (wall clock):"]
-        eng = self.window_summary()
-        if eng["windows"] or eng["coordinator_rounds"]:
-            lines.append(
-                f"  engine: {eng['windows']} windows "
-                f"({eng['window_wall_s'] * 1e3:.1f} ms)"
-                + (f", {eng['coordinator_rounds']} coordinator rounds "
-                   f"({eng['coordinator_wall_s'] * 1e3:.1f} ms), "
-                   f"{eng['cross_worker_msgs']} cross-worker msgs"
-                   if eng["coordinator_rounds"] else ""))
-        shards = self.shard_breakdown()
-        if shards:
-            slowest = self.slowest_shard()
-            lines.append("  window-stall breakdown by shard:")
-            for track, row in shards.items():
-                mark = "  <- slowest" if track == slowest else ""
-                lines.append(
-                    f"    {track:8s} {row['busy_s'] * 1e3:9.1f} ms over "
-                    f"{row['advances']} advances "
-                    f"(max {row['max_s'] * 1e3:.2f} ms){mark}")
-        workers = self.worker_utilization()
-        if workers:
-            lines.append("  worker utilization:")
-            for track, row in workers.items():
-                lines.append(
-                    f"    {track:8s} busy {row['busy_s'] * 1e3:9.1f} ms  "
-                    f"idle {row['idle_s'] * 1e3:9.1f} ms  "
-                    f"util {row['utilization']:6.1%}")
         cache = self.cache_summary()
         if cache["ops"]:
             ratio = (f", hit ratio {cache['hit_ratio']:.1%}"

@@ -191,58 +191,17 @@ def _host_section(host: Dict[str, Any]) -> List[str]:
     """Host wall-clock telemetry (``repro telemetry --json`` output).
 
     Everything above this section is on the *simulated* clock; this
-    table is the cost of running the simulator itself — worker
-    utilization, the per-shard window-stall breakdown, and cache/queue
-    efficiency (see docs/OBSERVABILITY.md, host-time telemetry).
+    table is the cost of running the simulator itself — bench cell
+    wall time and cache/queue efficiency (see docs/OBSERVABILITY.md,
+    host-time telemetry).
     """
     if not host:
         return []
     parts = ["<h2>Host telemetry (wall clock)</h2>"]
-    eng = host.get("engine") or {}
     bench = host.get("bench") or {}
-    bits = []
     if bench.get("cells"):
-        bits.append(f"{bench['cells']} cells in {bench['wall_s']:.2f}s wall")
-    if eng.get("windows"):
-        bits.append(f"{eng['windows']} engine windows")
-    if eng.get("coordinator_rounds"):
-        bits.append(f"{eng['coordinator_rounds']} coordinator rounds, "
-                    f"{eng['cross_worker_msgs']} cross-worker msgs")
-    if bits:
-        parts.append(f"<p><small>{escape(' · '.join(bits))}</small></p>")
-    shards = host.get("shards") or {}
-    if shards:
-        slowest = host.get("slowest_shard")
-        parts.append("<h2>Window-stall breakdown by shard</h2><table>")
-        parts.append("<tr><th class=name>shard</th><th>advances</th>"
-                     "<th>busy (ms)</th><th>max (ms)</th><th>share</th></tr>")
-        total = sum(row["busy_s"] for row in shards.values()) or 1.0
-        for track, row in shards.items():
-            share = row["busy_s"] / total
-            mark = " class=win" if track == slowest else ""
-            parts.append(
-                f"<tr><td class=name{mark}>{escape(track)}"
-                f"{' (slowest)' if track == slowest else ''}</td>"
-                f"<td>{row['advances']}</td>"
-                f"<td>{row['busy_s'] * 1e3:.1f}</td>"
-                f"<td>{row['max_s'] * 1e3:.2f}</td>"
-                f"<td{_heat(share)}>{share:.0%}</td></tr>")
-        parts.append("</table>")
-    workers = host.get("workers") or {}
-    if workers:
-        parts.append("<h2>Worker utilization</h2><table>")
-        parts.append("<tr><th class=name>worker</th><th>windows</th>"
-                     "<th>busy (ms)</th><th>idle (ms)</th>"
-                     "<th>utilization</th></tr>")
-        for track, row in workers.items():
-            util = row["utilization"]
-            parts.append(
-                f"<tr><td class=name>{escape(track)}</td>"
-                f"<td>{row['windows']}</td>"
-                f"<td>{row['busy_s'] * 1e3:.1f}</td>"
-                f"<td>{row['idle_s'] * 1e3:.1f}</td>"
-                f"<td{_heat(util)}>{util:.1%}</td></tr>")
-        parts.append("</table>")
+        parts.append(f"<p><small>{bench['cells']} cells in "
+                     f"{bench['wall_s']:.2f}s wall</small></p>")
     cache = host.get("cache") or {}
     queue = host.get("queue") or {}
     if cache.get("ops") or queue:

@@ -237,17 +237,6 @@ class RankContext:
         dst_hw = self.world.hw[self.cluster.node_of(dst_world)]
         world = self.world
         tracer = self.world.tracer
-        if self.sim.is_sharded and transport.inter_node:
-            # Sharded engine: the destination-side choreography must
-            # run under the destination node's shard.  Tracer and span
-            # recorder are structurally absent here (the engine
-            # downgrades otherwise), so delivery is a plain
-            # ``world.deliver`` — no closure crosses the shard.
-            done = transport.schedule_delivery_sharded(
-                self.node_hw, dst_hw, desc, world)
-            rendezvous = view.nbytes > self.params.nic.eager_limit
-            return SendRequest(done_event=done if rendezvous else None)
-
         def _on_delivered(world=world, desc=desc, tracer=tracer,
                           obs=obs, msg_sid=msg_sid):
             if tracer is not None:

@@ -8,7 +8,6 @@ from ..machine import Cluster, ClusterHardware, MachineParams
 from ..pip import NodeBarrier, spawn_tasks
 from ..machine.params import MemoryParams
 from ..sim import Simulator
-from ..sim.shard import ShardedHardSync, ShardedSimulator
 from ..sim.spec import EngineSpec, resolve_engine
 from ..sim.trace import Tracer
 from ..machine.fabric import FabricParams
@@ -66,28 +65,19 @@ class World:
         A :class:`~repro.obs.SpanRecorder` to bind to this world (see
         :meth:`attach_obs`).  ``None`` (default) keeps every
         instrumentation site a single attribute check.
-    fastpath:
-        The macro-event fast path: blocking pt2pt calls run fused
-        generators (no request objects, no Timeout events, batched
-        message completion) that reproduce the reference path's
-        timestamps *exactly*.  Defaults to on; it disarms itself
-        automatically whenever a tracer, fault injector or span
-        recorder is attached (those need the full choreography).
-        ``fastpath=False`` forces the reference path — the
-        differential tests run both and assert identical results.
-    queue:
-        Legacy event-queue backend selector (``"calendar"`` or
-        ``"heap"``); superseded by ``engine=`` — pass one or the
-        other, not both.
     engine:
-        Unified engine selector: ``"reference"``, ``"calendar"``
-        (default), ``"sharded"`` (``"sharded:<shards>[x<workers>]"``),
-        ``"analytic"``, or a resolved
-        :class:`~repro.sim.spec.EngineSpec`.  Auto-downgrade rules
-        (faults / tracing / spans / reliable / fabric / ft force the
-        calendar engine) are applied by
-        :func:`~repro.sim.spec.resolve_engine`; the outcome is
-        queryable as ``world.engine``.  See ``docs/ENGINE.md``.
+        ``"calendar"`` (default) — calendar queue plus the macro-event
+        fast path: blocking pt2pt calls run fused generators (no
+        request objects, no Timeout events, batched message
+        completion) that reproduce the reference path's timestamps
+        *exactly*; the fast path disarms itself whenever a tracer,
+        fault injector or span recorder is attached (those need the
+        full choreography).  ``"reference"`` — heap queue, reference
+        path; the differential tests run both and assert identical
+        results.  A resolved :class:`~repro.sim.spec.EngineSpec` is
+        accepted too.  The outcome of
+        :func:`~repro.sim.spec.resolve_engine` is queryable as
+        ``world.engine``.  See ``docs/ENGINE.md``.
     resources:
         Attach a :class:`~repro.obs.resources.ResourceMonitor`
         recording per-resource busy/queue timelines.  Unlike ``obs``,
@@ -114,8 +104,6 @@ class World:
         faults: Optional[Any] = None,
         reliable: bool = False,
         obs: Optional[Any] = None,
-        fastpath: Optional[bool] = None,
-        queue: Optional[str] = None,
         resources: bool = False,
         ft: Union[bool, Any] = False,
         engine: Union[str, EngineSpec, None] = None,
@@ -125,24 +113,11 @@ class World:
         #: place engine selection and auto-downgrade rules are applied
         self.engine = resolve_engine(
             engine,
-            queue=queue,
-            fastpath=fastpath,
             faults=faults is not None,
             tracer=tracer is not None,
             obs=obs is not None,
-            reliable=reliable,
-            fabric=fabric is not None,
-            ft=bool(ft),
-            resources=resources,
-            nodes=params.nodes,
         )
-        if self.engine.sharded:
-            self.sim: Simulator = ShardedSimulator(
-                self.engine.shards, params.nodes, params.nic.latency,
-                workers=self.engine.workers,
-            )
-        else:
-            self.sim = Simulator(tracer=tracer, queue=self.engine.queue)
+        self.sim = Simulator(tracer=tracer, queue=self.engine.queue)
         #: when a tracer is attached, every delivered message is
         #: recorded as kind "message" with src/dst/bytes/transport/tag
         self.tracer = tracer
@@ -203,19 +178,12 @@ class World:
             NodeBarrier(self.sim, params.memory, params.ppn)
             for _ in range(self.cluster.nodes)
         ]
-        # Zero-cost alignment barrier for harness timing.  The sharded
-        # engine needs per-shard release events (a world-wide
-        # NodeBarrier would resume ranks under a foreign shard's
-        # queue); release timestamps are identical.
-        if self.engine.sharded:
-            self.hard_sync_barrier: Any = ShardedHardSync(
-                self.sim, self.cluster.world_size)
-        else:
-            self.hard_sync_barrier = NodeBarrier(
-                self.sim,
-                MemoryParams(flag_latency=0.0),
-                self.cluster.world_size,
-            )
+        # Zero-cost alignment barrier for harness timing.
+        self.hard_sync_barrier = NodeBarrier(
+            self.sim,
+            MemoryParams(flag_latency=0.0),
+            self.cluster.world_size,
+        )
         self._interned_comms: dict = {}
         self._next_comm_id = 2 + self.cluster.nodes
         #: comm_id → Communicator for every communicator this world
@@ -236,17 +204,8 @@ class World:
         self.resources = None
         if resources:
             self.attach_resources()
-        #: bound AnalyticEvaluator, or None — set for engine="analytic"
-        self.analytic = None
-        if self.engine.analytic:
-            from .analytic import AnalyticEvaluator
-
-            self.analytic = AnalyticEvaluator(self)
         if obs is not None:
             self.attach_obs(obs)
-        #: rank → (unexpected, pending) shipped home by parallel
-        #: sharded workers (the parent's matching engines never ran)
-        self._parallel_quiescence = None
         #: bound FTRuntime, or None (the default, zero-overhead)
         self.ft = None
         if ft:
@@ -264,12 +223,6 @@ class World:
         messages, sync waits), and hands the network transport the
         recorder so its retransmit path can annotate backoff windows.
         """
-        if self.engine.sharded:
-            raise ValueError(
-                "span recording needs the global event loop; build the "
-                "world with obs= (the engine auto-downgrades) instead of "
-                "attaching a recorder to a sharded world"
-            )
         recorder.bind(self.sim)
         self.obs = recorder
         self.network.obs = recorder
@@ -367,13 +320,8 @@ class World:
                 f"{self.cluster.world_size} ranks"
             )
         procs = []
-        sharded = self.sim.is_sharded
         for rank, ctx in enumerate(self.contexts):
             rank_args = per_rank_args[rank] if per_rank_args is not None else args
-            if sharded:
-                # Kick-start entries must land in the rank's shard,
-                # carrying the rank as their ordering origin.
-                self.sim.set_home(self.cluster.node_of(rank), rank)
             procs.append(self.sim.process(program(ctx, *rank_args), name=f"rank{rank}"))
         if watchdog is not None:
             deadline = self.sim.now + watchdog
@@ -387,10 +335,6 @@ class World:
                     f"ranks {unfinished} still running\n"
                     + self.blocked_report(unfinished)
                 )
-        elif sharded and self.sim.workers > 1:
-            from ..sim.parallel import run_parallel
-
-            run_parallel(self, procs)
         else:
             self.sim.run()
         stuck = [rank for rank, proc in enumerate(procs) if not proc.triggered]
@@ -559,19 +503,6 @@ class World:
         out of the membership are exempt — nothing will ever run on
         them again, so their leftover state is not a leak.
         """
-        if self._parallel_quiescence is not None:
-            for rank, (unexpected, pending) in \
-                    self._parallel_quiescence.items():
-                if unexpected:
-                    raise AssertionError(
-                        f"rank {rank}: {unexpected} unexpected messages "
-                        "left behind"
-                    )
-                if pending:
-                    raise AssertionError(
-                        f"rank {rank}: {pending} receives never matched"
-                    )
-            return
         excluded = set(self.ft.excluded) if self.ft is not None else set()
         if self.faults is not None:
             now = self.sim.now

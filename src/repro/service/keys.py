@@ -17,7 +17,7 @@ canonical SHA-256 over everything that determines its result:
   ``attribution`` change what the record carries);
 * the **engine name** — engines are byte-identical by the differential
   contract, but cache entries stay engine-segregated so a cached
-  calendar result can never mask a sharded-engine regression;
+  calendar result can never mask a reference-engine regression;
 * an optional ``extra`` payload for callers whose cell identity has
   more dimensions (the tuner stores the candidate config here).
 
@@ -26,9 +26,7 @@ Canonicalisation rules (property-tested in
 
 * spec aliases collapse — ``"MPICH"`` and ``make_library("MPICH")``
   hash identically, as do ``tuned:<path>`` and its compiled instance;
-* engine aliases collapse — ``None``/``"calendar"`` agree, and every
-  ``sharded:<shards>[x<workers>]`` spelling agrees (shard/worker
-  counts are an execution detail, not a result dimension);
+* engine aliases collapse — ``None``/``"calendar"`` agree;
 * dict key order never matters (``sort_keys`` canonical JSON);
 * the machine's display ``name`` never matters (content, not label).
 
@@ -47,7 +45,7 @@ from typing import Any, Dict, Optional, Union
 from ..machine import MachineParams
 from ..mpilibs import MpiLibrary, make_library
 from ..mpilibs.registry import _LIBRARIES
-from ..sim.spec import ENGINE_NAMES, EngineSpec, _parse_engine
+from ..sim.spec import ENGINE_NAMES, EngineSpec
 from ..tuner.db import machine_hash
 
 #: bump on any change to the key payload shape — old entries become
@@ -92,17 +90,13 @@ def library_fingerprint(library: Union[str, MpiLibrary]) -> Dict[str, Any]:
 
 
 def engine_fingerprint(engine: Union[str, EngineSpec, None]) -> str:
-    """Resolved engine *name* (aliases and shard/worker counts collapse).
-
-    ``None`` means the default engine, which is ``calendar``
-    (:mod:`repro.sim.spec`); shard and worker counts only change how
-    the byte-identical result is produced, never what it is.
-    """
+    """Resolved engine *name* (``None`` means the default, ``calendar``;
+    see :mod:`repro.sim.spec`)."""
     if engine is None:
         return "calendar"
     if isinstance(engine, EngineSpec):
         return engine.name
-    name, _shards, _workers = _parse_engine(str(engine))
+    name = str(engine)
     if name not in ENGINE_NAMES:
         raise CacheKeyError(
             f"unknown engine {engine!r}; available: {', '.join(ENGINE_NAMES)}"

@@ -13,9 +13,8 @@ order, through three stages:
    deduplicated — there is nothing sound to dedup *on*);
 3. **batched execution** — unique misses run through
    ``bench_collective``, either inline or fanned out across forked
-   worker processes (the same ``os.fork`` + ``Pipe`` + ship-results-
-   home choreography as :mod:`repro.sim.parallel`, one level up:
-   whole worlds instead of shards).  Workers stream per-cell
+   worker processes (``os.fork`` + ``Pipe``, each worker running
+   whole worlds and shipping results home).  Workers stream per-cell
    completions, so progress events arrive as cells finish, and results
    are keyed by task index — completion order never leaks into output
    order.  Fresh results are written back to the cache atomically.
@@ -32,7 +31,7 @@ schema-validated on both cache boundaries, and a cache hit rebuilds
 the exact BenchPoint a fresh run would produce — the differential
 suite (``tests/service/test_differential_cache.py``) asserts
 byte-identical records across cold/warm/mixed paths on both the
-calendar and sharded engines.
+calendar and reference engines.
 """
 
 from __future__ import annotations

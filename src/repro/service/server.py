@@ -17,7 +17,7 @@ Request schema (one object per line; unknown fields rejected)::
      "preset": "broadwell_opa",       # default shown
      "nodes": 16, "ppn": 6,           # default shown
      "warmup": 1, "iters": 3,         # default shown
-     "engine": "sharded:8"}           # default: calendar
+     "engine": "reference"}           # default: calendar
 
 Response line::
 

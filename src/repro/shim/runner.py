@@ -24,7 +24,6 @@ from typing import Any, Callable, Optional, Tuple
 
 from ..api import RunResult, Session
 from ..machine import MachineParams
-from ..sim.spec import EngineSpec, _parse_engine
 from .bridge import RankBridge
 
 
@@ -60,30 +59,6 @@ def _geometry(nranks: Optional[int], nodes: Optional[int],
     return 1, nranks
 
 
-def _serial_engine(engine) -> Tuple[Optional[str], Optional[str]]:
-    """Strip forked shard workers from an engine request.
-
-    Worker processes re-execute shard event loops after ``fork()``;
-    the shim's rank threads (and their request queues) only exist in
-    the parent, so a forked pump would block forever.  Returns the
-    adjusted engine string plus a human-readable note when the clamp
-    fired.
-    """
-    if engine is None:
-        return None, None
-    if isinstance(engine, EngineSpec):
-        requested = engine.requested or engine.name
-    else:
-        requested = str(engine)
-    name, shards, workers = _parse_engine(requested)
-    if workers is not None and workers > 1:
-        clamped = f"sharded:{shards}" if shards is not None else "sharded"
-        return clamped, (
-            f"workers {workers} -> 1: shim rank threads do not survive "
-            "forked shard workers")
-    return requested, None
-
-
 def run(fn: Callable[..., Any], *, nranks: Optional[int] = None,
         library: str = "PiP-MColl", nodes: Optional[int] = None,
         ppn: Optional[int] = None, params: Optional[MachineParams] = None,
@@ -98,10 +73,8 @@ def run(fn: Callable[..., Any], *, nranks: Optional[int] = None,
     explicit ``nodes``/``ppn``/``params``; ``library``/``engine``/
     ``trace``/``resources`` and extra ``world_kwargs`` mean exactly
     what they do on :class:`~repro.api.Session`.  Per-rank return
-    values land in ``result.values``; any note the shim attached (for
-    example a forked-worker clamp) in ``result.shim_notes``.
+    values land in ``result.values``.
     """
-    engine, note = _serial_engine(engine)
     if params is not None:
         if nranks is not None and nranks != params.world_size:
             raise ValueError(
@@ -133,7 +106,6 @@ def run(fn: Callable[..., Any], *, nranks: Optional[int] = None,
             bridge.abort()
         for bridge in bridges:
             bridge.join()
-    result.shim_notes = (note,) if note else ()
     return result
 
 

@@ -11,7 +11,6 @@ from .errors import EventAlreadyTriggered, Interrupt, SimError, StopSimulation
 from .events import AllOf, AnyOf, Condition, Event, Timeout
 from .process import Process
 from .resources import RateLimiter, Request, Resource
-from .shard import ShardedSimulator
 from .spec import ENGINE_NAMES, EngineSpec, resolve_engine
 from .stores import FilterStore, Store
 from .trace import TraceRecord, Tracer
@@ -31,7 +30,6 @@ __all__ = [
     "Request",
     "Resource",
     "SimError",
-    "ShardedSimulator",
     "Simulator",
     "StopSimulation",
     "Store",

@@ -13,8 +13,9 @@ Two scheduler backends share that contract:
   the far future.  Insert and pop are O(1) for the common case of
   near-future events, which is what a paper-scale run (2304 ranks,
   hundreds of thousands of sub-microsecond message events) produces.
-* ``queue="heap"`` — the original binary heap, kept as a reference
-  implementation and a fallback for pathological time distributions.
+* ``queue="heap"`` — the original binary heap, kept as the queue of
+  ``engine="reference"`` (the oracle the differential tests compare
+  the calendar engine against).
 
 Both order strictly by ``(time, sequence)`` so a simulation is
 bit-identical under either backend.
@@ -231,10 +232,6 @@ class Simulator:
     default — or ``"heap"``); simulations are bit-identical under both.
     """
 
-    #: True on :class:`~repro.sim.shard.ShardedSimulator` — the flag
-    #: transports branch on to route arrivals into destination shards
-    is_sharded = False
-
     def __init__(self, tracer=None, queue: str = "calendar") -> None:
         self.now: float = 0.0
         if queue == "calendar":
@@ -311,20 +308,6 @@ class Simulator:
             raise ValueError(f"negative delay {delay!r}")
         self._seq += 1
         self._queue.push(self.now + delay, self._seq, fn)
-
-    def call_at_node(self, node_id: int, when: float, fn) -> None:
-        """:meth:`call_at`, annotated with the node the action affects.
-
-        On the global engine the annotation is ignored; the sharded
-        engine overrides this to route the item into ``node_id``'s
-        shard (message arrivals must execute under the destination's
-        queue).  Transports call this unconditionally so one code path
-        serves both engines.
-        """
-        if when < self.now:
-            raise ValueError(f"call_at({when}) is in the past (now={self.now})")
-        self._seq += 1
-        self._queue.push(when, self._seq, fn)
 
     def peek(self) -> float:
         """Timestamp of the next event, or ``inf`` if the queue is empty."""

@@ -1,45 +1,25 @@
 """Engine selection: one resolved :class:`EngineSpec` per world.
 
-Before this module, picking a simulation engine meant combining a
-``queue="heap"|"calendar"`` kwarg with a ``fastpath`` boolean scattered
-across :class:`~repro.api.Session`, the CLI, and the bench harness.
-Four engines now sit behind one name:
+Two engines sit behind ``engine=``:
 
 ``reference``
     Heap-queue scheduler, reference pt2pt choreography (no macro-event
-    fast path).  The ground truth every other engine is differentially
+    fast path).  The ground truth the default engine is differentially
     tested against.
 ``calendar``
-    Calendar-queue scheduler with the macro-event fast path (the PR 3
-    engine, and still the default).  The fast path disarms itself under
-    faults / tracing / span recording; the calendar queue stays.
-``sharded``
-    The calendar engine partitioned into per-node-group shards, each
-    advancing on its own queue and synchronizing only at inter-shard
-    message boundaries with conservative lookahead equal to the NIC
-    latency ``L`` (intra-node PiP traffic never crosses a shard).
-    Optionally executes shards across forked worker processes.
-``analytic``
-    The calendar engine plus a vectorized evaluator that computes whole
-    collective rounds in numpy (per-call, for whitelisted lockstep
-    algorithms), falling back to the event loop otherwise.
+    Calendar-queue scheduler with the macro-event fast path (the
+    default).  Both engines produce bit-identical simulated times,
+    records and counters.
 
 Every entry point funnels through :func:`resolve_engine` — the *single*
-place downgrade rules live.  Downgrades are explicit and queryable:
-``spec.downgrades`` names every rule that fired.
+place the downgrade rule lives.  Downgrades are explicit and
+queryable: ``spec.downgrades`` names every rule that fired.
 
-Downgrade rules
----------------
-========= ==========================================================
-engine    auto-downgrade condition
-========= ==========================================================
-calendar  fast path off under ``faults`` / ``tracer`` / ``obs``
-sharded   → calendar under faults / tracer / obs / reliable /
-          fabric / ft, or on single-node worlds;
-          ``workers`` → 1 when resource telemetry is attached
-analytic  → calendar under faults / tracer / obs / reliable /
-          fabric / ft / resource telemetry
-========= ==========================================================
+Downgrade rule
+--------------
+The calendar engine's fast path turns off when ``faults``, a
+``tracer`` or a span recorder (``obs``) is attached: those need the
+full per-message choreography.  The calendar queue stays.
 """
 
 from __future__ import annotations
@@ -48,11 +28,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Tuple, Union
 
 #: engine names accepted by ``engine=`` everywhere
-ENGINE_NAMES = ("reference", "calendar", "sharded", "analytic")
-
-#: default shard-count cap for ``engine="sharded"`` (one shard per
-#: node up to this many; CI perf gates run 8-shard 128-node worlds)
-DEFAULT_MAX_SHARDS = 8
+ENGINE_NAMES = ("reference", "calendar")
 
 
 @dataclass(frozen=True)
@@ -69,196 +45,52 @@ class EngineSpec:
     queue: str
     #: macro-event pt2pt fast path armed?
     fastpath: bool
-    #: number of shards (1 = unsharded)
-    shards: int = 1
-    #: worker processes executing shards (1 = sequential windowed)
-    workers: int = 1
-    #: per-call vectorized analytic evaluator attached?
-    analytic: bool = False
-    #: the engine string originally requested (None = legacy kwargs)
+    #: the engine string originally requested (None = the default)
     requested: Optional[str] = None
     #: human-readable downgrade rules that fired, in order
     downgrades: Tuple[str, ...] = field(default=())
-
-    @property
-    def sharded(self) -> bool:
-        """True when the world runs on the sharded kernel."""
-        return self.shards > 1
 
     def describe(self) -> str:
         """One-line summary for logs and ``repro info``."""
         bits = [self.name, f"queue={self.queue}",
                 f"fastpath={'on' if self.fastpath else 'off'}"]
-        if self.shards > 1:
-            bits.append(f"shards={self.shards}")
-            bits.append(f"workers={self.workers}")
-        if self.analytic:
-            bits.append("analytic=on")
         if self.downgrades:
             bits.append("downgraded: " + "; ".join(self.downgrades))
         return " ".join(bits)
 
 
-def _parse_engine(text: str) -> Tuple[str, Optional[int], Optional[int]]:
-    """``"sharded:8x4"`` → ``("sharded", 8, 4)``; plain names pass through."""
-    name, sep, rest = text.partition(":")
-    if not sep:
-        return name, None, None
-    if name != "sharded":
-        raise ValueError(
-            f"engine {text!r}: only 'sharded' takes a ':<shards>[x<workers>]' "
-            "suffix"
-        )
-    shards_s, sep, workers_s = rest.partition("x")
-    try:
-        shards = int(shards_s)
-        workers = int(workers_s) if sep else None
-    except ValueError:
-        raise ValueError(
-            f"engine {text!r}: expected 'sharded:<shards>[x<workers>]'"
-        ) from None
-    return name, shards, workers
-
-
 def resolve_engine(
     engine: "Union[str, EngineSpec, None]" = None,
     *,
-    queue: Optional[str] = None,
-    fastpath: Optional[bool] = None,
-    shards: Optional[int] = None,
-    workers: Optional[int] = None,
     faults: bool = False,
     tracer: bool = False,
     obs: bool = False,
-    reliable: bool = False,
-    fabric: bool = False,
-    ft: bool = False,
-    resources: bool = False,
-    nodes: Optional[int] = None,
 ) -> EngineSpec:
     """Resolve an engine request against the world's configuration.
 
-    ``engine`` is an engine name (``"sharded"``, ``"sharded:8"``,
-    ``"sharded:8x4"``, ...), an already-resolved :class:`EngineSpec`
-    (re-validated against this world's conditions), or ``None`` — the
-    legacy path, honouring the old ``queue=`` / ``fastpath=`` kwargs.
+    ``engine`` is an engine name, an already-resolved
+    :class:`EngineSpec` (re-validated against this world's
+    conditions), or ``None`` — the default, ``calendar``.
 
-    The remaining keyword flags describe what is attached to the world;
-    they drive the auto-downgrade rules documented in the module
-    docstring.  This function is the *only* place those rules exist.
+    The keyword flags describe what is attached to the world; they
+    drive the downgrade rule documented in the module docstring.  This
+    function is the *only* place that rule exists.
     """
     if isinstance(engine, EngineSpec):
-        # Re-resolve from what was originally asked for, preserving
-        # explicit shard/worker counts.
-        return resolve_engine(
-            engine.requested or engine.name,
-            shards=shards if shards is not None else
-            (engine.shards if engine.shards > 1 else None),
-            workers=workers if workers is not None else
-            (engine.workers if engine.workers > 1 else None),
-            faults=faults, tracer=tracer, obs=obs, reliable=reliable,
-            fabric=fabric, ft=ft, resources=resources, nodes=nodes,
-        )
-
-    downgrades = []
-
-    if engine is None:
-        # Legacy kwargs: exactly the pre-EngineSpec behaviour.
-        q = queue if queue is not None else "calendar"
-        if q not in ("calendar", "heap"):
-            raise ValueError(f"unknown queue backend {q!r}")
-        fast = (fastpath if fastpath is not None else True) \
-            and not faults and not tracer and not obs
-        if (fastpath is None or fastpath) and (faults or tracer or obs):
-            downgrades.append(_fast_off_reason(faults, tracer, obs))
-        name = ("calendar" if q == "calendar"
-                else ("heap" if fast else "reference"))
-        return EngineSpec(name=name, queue=q, fastpath=fast,
-                          requested=None, downgrades=tuple(downgrades))
-
-    if queue is not None or fastpath is not None:
-        raise ValueError(
-            "pass either engine= or the legacy queue=/fastpath= kwargs, "
-            "not both"
-        )
-
+        engine = engine.requested or engine.name
     requested = engine
-    name, spec_shards, spec_workers = _parse_engine(engine)
+    name = engine if engine is not None else "calendar"
     if name not in ENGINE_NAMES:
         raise ValueError(
-            f"unknown engine {engine!r}; available: {', '.join(ENGINE_NAMES)}"
+            f"unknown engine {name!r}; available: {', '.join(ENGINE_NAMES)}"
         )
-    if shards is None:
-        shards = spec_shards
-    if workers is None:
-        workers = spec_workers
-
     if name == "reference":
         return EngineSpec(name="reference", queue="heap", fastpath=False,
                           requested=requested)
-
-    if name in ("sharded", "analytic"):
-        blockers = []
-        if faults:
-            blockers.append("faults attached")
-        if tracer:
-            blockers.append("tracer attached")
-        if obs:
-            blockers.append("span recorder attached")
-        if reliable:
-            blockers.append("reliable transport")
-        if fabric:
-            blockers.append("fabric topology attached")
-        if ft:
-            blockers.append("fault-tolerance layer attached")
-        if name == "analytic" and resources:
-            # The evaluator bypasses RateLimiter.reserve, where the
-            # resource monitor's recording hooks live.
-            blockers.append("resource telemetry attached")
-        if name == "sharded" and not blockers:
-            if nodes is None or nodes < 2:
-                blockers.append("single-node world")
-        if blockers:
-            downgrades.append(
-                f"{name} → calendar ({'; '.join(blockers)})")
-            name = "calendar"
-
-    if name == "sharded":
-        if shards is None:
-            shards = min(nodes, DEFAULT_MAX_SHARDS)
-        if shards < 2:
-            downgrades.append("sharded → calendar (fewer than 2 shards)")
-            name = "calendar"
-        elif nodes is not None and shards > nodes:
-            downgrades.append(
-                f"shards clamped to node count ({shards} → {nodes})")
-            shards = nodes
-
-    if name == "sharded":
-        if workers is None:
-            workers = 1
-        if workers > shards:
-            workers = shards
-        if workers > 1 and resources:
-            downgrades.append(
-                "workers → 1 (resource telemetry needs sequential "
-                "sharded execution)")
-            workers = 1
-        return EngineSpec(name="sharded", queue="calendar", fastpath=True,
-                          shards=shards, workers=max(workers, 1),
-                          requested=requested,
-                          downgrades=tuple(downgrades))
-
-    analytic = name == "analytic"
-    # calendar (directly requested, or the downgrade target): the fast
-    # path still honours the PR 3 disarm rules.
     fast = not faults and not tracer and not obs
-    if not fast:
-        downgrades.append(_fast_off_reason(faults, tracer, obs))
-        analytic = False
-    return EngineSpec(name="analytic" if analytic else "calendar",
-                      queue="calendar", fastpath=fast, analytic=analytic,
-                      requested=requested, downgrades=tuple(downgrades))
+    downgrades = () if fast else (_fast_off_reason(faults, tracer, obs),)
+    return EngineSpec(name="calendar", queue="calendar", fastpath=fast,
+                      requested=requested, downgrades=downgrades)
 
 
 def _fast_off_reason(faults: bool, tracer: bool, obs: bool) -> str:

@@ -107,38 +107,6 @@ class NetworkTransport(Transport):
         on_wire.callbacks.append(_arrived)
         return on_wire
 
-    def schedule_delivery_sharded(self, src_node, dst_node, desc, world):
-        """Delivery choreography for the sharded engine.
-
-        Identical reservations and timestamps to
-        :meth:`schedule_delivery`, restructured so the destination-side
-        work is a picklable ``(fn, arg)`` item routed into the
-        destination node's *shard* via ``call_at_node`` (the reference
-        path runs the RX reservation as a callback of the sender-side
-        ``on_wire`` event, which would mutate destination state from
-        the source shard's queue).  Covers eager and rendezvous; the
-        returned event fires when the payload is on the wire — the
-        rendezvous completion, exactly as in the reference path.
-
-        Only called by ``isend`` when the world's tracer and span
-        recorder are absent (the sharded engine guarantees that), so
-        delivery is a plain ``world.deliver`` — no closures cross the
-        shard boundary.
-        """
-        nic = src_node.params.nic
-        lead = 0.0
-        if not self._is_eager(src_node, desc.wire):
-            lead = nic.rendezvous_overhead + 2.0 * nic.latency
-        wire = nic.wire_time(desc.nbytes)
-        src_node.tx_messages += 1
-        finish = src_node.tx.reserve(wire, lead_delay=lead)
-        sim = world.sim
-        arrival = finish + nic.latency
-        on_wire = sim.event_at(arrival)
-        sim.call_at_node(dst_node.node_id, arrival,
-                         (_eager_arrive, (dst_node, wire, desc, world)))
-        return on_wire
-
     def schedule_delivery_fast(self, src_node, dst_node, desc, world) -> bool:
         """Batched eager completion: two bare queue items per message.
 
@@ -156,8 +124,8 @@ class NetworkTransport(Transport):
         src_node.tx_messages += 1
         wire = nic.wire_time(wire_desc.nbytes)
         arrival = src_node.tx.reserve(wire) + nic.latency
-        world.sim.call_at_node(dst_node.node_id, arrival,
-                               (_eager_arrive, (dst_node, wire, desc, world)))
+        world.sim.call_at(arrival,
+                          (_eager_arrive, (dst_node, wire, desc, world)))
         return True
 
     def describe(self) -> str:

@@ -24,17 +24,19 @@ def _app(comm):
     return comm.now, recv.copy(), gath.copy()
 
 
-def _run(ft, fastpath):
+def _run(ft, fast):
+    # fast: the default calendar engine (fast path on); else the
+    # reference engine.
     session = Session(library="PiP-MColl", params=PARAMS, trace=False,
-                      ft=ft, fastpath=fastpath)
+                      ft=ft, engine="calendar" if fast else "reference")
     result = session.run(_app)
     return result
 
 
-@pytest.mark.parametrize("fastpath", [True, False])
-def test_dormant_ft_is_timestamp_identical(fastpath):
-    off = _run(False, fastpath)
-    on = _run(True, fastpath)
+@pytest.mark.parametrize("fast", [True, False])
+def test_dormant_ft_is_timestamp_identical(fast):
+    off = _run(False, fast)
+    on = _run(True, fast)
     assert on.elapsed == off.elapsed
     for (t_on, r_on, g_on), (t_off, r_off, g_off) in zip(on.values,
                                                          off.values):

@@ -92,9 +92,9 @@ def test_fast_path_matches_reference_time(library, collective, nbytes,
     benchmarks use."""
     params = broadwell_opa(nodes=nodes, ppn=ppn)
     fast = bench_collective(library, collective, nbytes, params,
-                            warmup=1, iters=2, fastpath=True)
+                            warmup=1, iters=2, engine="calendar")
     slow = bench_collective(library, collective, nbytes, params,
-                            warmup=1, iters=2, fastpath=False)
+                            warmup=1, iters=2, engine="reference")
     assert fast.iterations == slow.iterations, \
         f"{library}/{collective}: fast path changed simulated time"
 

@@ -7,12 +7,10 @@ The contracts under test:
 * per-event detail caps without losing aggregate exactness;
 * **fork safety** — events emitted in forked workers arrive in the
   parent exactly once, merged in wall-timestamp order, through both
-  raw drain/absorb and the real worker protocols (sharded engine
-  workers, sweep-queue workers);
+  raw drain/absorb and the real sweep-queue worker protocol;
 * the exports hold their schemas: the Perfetto host trace passes the
-  same ``validate_chrome_trace`` checker CI runs on sim traces, the
-  metrics snapshot is JSON-safe, and the report names the slowest
-  shard correctly.
+  same ``validate_chrome_trace`` checker CI runs on sim traces, and
+  the metrics snapshot and summary dict are JSON-safe.
 """
 
 import json
@@ -119,55 +117,6 @@ def test_absorb_respects_cap():
     assert len(tracer.aggregates()) == 3  # aggregates never capped
 
 
-# -- engine instrumentation --------------------------------------------
-
-def test_sharded_sequential_shard_tracks():
-    with host.tracing() as tracer:
-        bench_collective("PiP-MColl", "allgather", 64, small_test(),
-                         engine="sharded:2")
-    agg = tracer.aggregates()
-    tracks = {t for (name, t) in agg if name == "shard.advance"}
-    assert tracks == {"shard0", "shard1"}
-    assert ("engine.window", "engine") in agg
-    assert ("bench.cell", "bench") in agg
-    counters = {name for (name, _items) in tracer.counters()}
-    assert "engine_windows_total" in counters
-
-
-def test_sharded_forked_worker_telemetry_ships_home():
-    with host.tracing() as tracer:
-        bench_collective("PiP-MColl", "allgather", 64, small_test(),
-                         engine="sharded:2x2")
-    agg = tracer.aggregates()
-    report = HostReport(tracer)
-    workers = report.worker_utilization()
-    assert set(workers) == {"worker0", "worker1"}
-    for row in workers.values():
-        assert row["windows"] > 0
-        assert 0.0 <= row["utilization"] <= 1.0
-    assert ("coord.round", "coordinator") in agg
-    # Shard advances happened in children; exactly one copy each.
-    rounds = agg[("coord.round", "coordinator")][0]
-    assert agg[("shard.advance", "shard0")][0] == rounds
-    assert report.window_summary()["cross_worker_msgs"] > 0
-
-
-def test_forked_engine_events_arrive_exactly_once():
-    def run():
-        with host.tracing() as tracer:
-            bench_collective("PiP-MColl", "allgather", 64, small_test(),
-                             engine="sharded:2x2")
-        return tracer
-
-    seq = run()
-    # Worker windows == coordinator rounds: one busy span per window
-    # per worker, so a double-absorb would double the count.
-    agg = seq.aggregates()
-    rounds = agg[("coord.round", "coordinator")][0]
-    assert agg[("worker.window", "worker0")][0] == rounds
-    assert agg[("worker.window", "worker1")][0] == rounds
-
-
 # -- service instrumentation -------------------------------------------
 
 def _cells(params, sizes=(16, 64)):
@@ -223,22 +172,10 @@ def test_queue_forked_workers_cell_spans_exactly_once(tmp_path):
 
 # -- reports and exports -----------------------------------------------
 
-def test_slowest_shard_names_imbalanced_shard():
-    # nodes=5 over 4 shards → shard_of_node = [0, 0, 1, 2, 3]: shard0
-    # owns two nodes' worth of events, every other shard one.
+def test_perfetto_export_validates_and_tracks(tmp_path):
     with host.tracing() as tracer:
-        bench_collective("PiP-MColl", "allgather", 256,
-                         broadwell_opa(nodes=5, ppn=4), engine="sharded:4")
-    report = HostReport(tracer)
-    shards = report.shard_breakdown()
-    assert set(shards) == {"shard0", "shard1", "shard2", "shard3"}
-    assert report.slowest_shard() == "shard0"
-
-
-def test_perfetto_export_validates_and_tracks():
-    with host.tracing() as tracer:
-        bench_collective("PiP-MColl", "allgather", 64, small_test(),
-                         engine="sharded:2x2")
+        SweepJobQueue(cache=ResultCache(tmp_path / "c"), workers=2).run(
+            _cells(small_test()))
     obj = HostReport(tracer).to_perfetto()
     assert validate_chrome_trace(obj) == len(obj["traceEvents"])
     names = {e["args"]["name"] for e in obj["traceEvents"]
@@ -247,32 +184,31 @@ def test_perfetto_export_validates_and_tracks():
     assert any(n.startswith("forked worker") for n in names)
     threads = {e["args"]["name"] for e in obj["traceEvents"]
                if e["ph"] == "M" and e["name"] == "thread_name"}
-    assert {"shard0", "shard1", "worker0", "coordinator"} <= threads
+    assert {"queue", "bench"} <= threads
     assert all(e.get("ts", 0) >= 0 for e in obj["traceEvents"])
 
 
 def test_metrics_snapshot_json_safe():
     with host.tracing() as tracer:
         bench_collective("MPICH", "allgather", 16,
-                         broadwell_opa(nodes=2, ppn=2), engine="sharded:2")
+                         broadwell_opa(nodes=2, ppn=2))
     snap = HostReport(tracer).metrics().snapshot()
     json.dumps(snap)  # must be serialisable as-is
-    assert any(k.startswith("host_span_count") for k in snap["counters"])
-    assert any("engine_windows_total" in k for k in snap["counters"])
+    assert any(k.startswith("host_span_count") and "bench.cell" in k
+               for k in snap["counters"])
 
 
 def test_report_format_and_dict_round_trip(tmp_path):
     params = broadwell_opa(nodes=2, ppn=2)
     with host.tracing() as tracer:
         run_sweep("allgather", [16], params, libraries=["MPICH"],
-                  cache=ResultCache(tmp_path / "c"), engine="sharded:2")
+                  cache=ResultCache(tmp_path / "c"))
     report = HostReport(tracer)
     text = report.format()
-    assert "window-stall breakdown by shard" in text
-    assert "cache:" in text and "queue:" in text
+    assert "cache:" in text and "queue:" in text and "bench:" in text
     d = json.loads(json.dumps(report.as_dict()))
     assert d["schema"] == HostReport.SCHEMA
-    assert d["slowest_shard"] in d["shards"]
+    assert d["bench"]["cells"] == 1
     assert d["cache"]["ops"]["write"] == 1
 
 

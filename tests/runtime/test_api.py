@@ -302,18 +302,18 @@ def test_session_accepts_engine():
     assert cal.engine.name == "calendar"
 
 
-def test_session_traced_downgrades_sharded():
+def test_session_traced_downgrade_is_visible():
     # trace=True attaches a span recorder, which the engine resolution
-    # must see: sharded falls back to calendar instead of erroring.
+    # must see: the calendar engine's fast path turns off, on record.
     from repro.api import Session
 
     def app(comm):
         yield from comm.Barrier()
         return comm.rank
 
-    result = Session(nodes=2, ppn=2, trace=True, engine="sharded").run(app)
+    result = Session(nodes=2, ppn=2, trace=True, engine="calendar").run(app)
     assert result.values == [0, 1, 2, 3]
-    assert result.engine.name == "calendar"
+    assert result.engine.name == "calendar" and not result.engine.fastpath
     assert any("span recorder" in d for d in result.engine.downgrades)
     assert result.trace is not None
 

@@ -3,7 +3,7 @@
 A pinned matrix (paper-lineup subset × Fig.2-style sizes) runs through
 ``run_sweep`` three ways — direct, cold-cache, warm-cache — plus a
 mixed run where half the grid is pre-warmed and half is cold, on both
-the calendar and sharded engines.  Every BenchRecord must be
+the calendar and reference engines.  Every BenchRecord must be
 byte-identical to the direct run's; a cache that changes a single bit
 of a result is worse than no cache.
 """
@@ -24,7 +24,7 @@ LIBRARIES = ["MPICH", "OpenMPI", "PiP-MColl"]
 SIZES = [16, 64, 256]
 COLLECTIVE = "allgather"
 
-ENGINES = [None, "sharded:2"]
+ENGINES = [None, "reference"]
 
 
 def _records(sweep):
@@ -40,7 +40,7 @@ def _direct(engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES,
-                         ids=["calendar", "sharded"])
+                         ids=["calendar", "reference"])
 def test_cold_then_warm_match_direct(tmp_path, engine):
     want = _direct(engine)
     cache = ResultCache(tmp_path / "c")
@@ -59,7 +59,7 @@ def test_cold_then_warm_match_direct(tmp_path, engine):
 
 
 @pytest.mark.parametrize("engine", ENGINES,
-                         ids=["calendar", "sharded"])
+                         ids=["calendar", "reference"])
 def test_mixed_cold_warm_concurrent_matches_direct(tmp_path, engine):
     want = _direct(engine)
     cache = ResultCache(tmp_path / "c")
@@ -84,9 +84,9 @@ def test_engines_never_share_entries(tmp_path):
     run_sweep(COLLECTIVE, [64], PARAMS, libraries=["MPICH"],
               engine=None, cache=cache)
     run_sweep(COLLECTIVE, [64], PARAMS, libraries=["MPICH"],
-              engine="sharded:2", cache=cache)
+              engine="reference", cache=cache)
     # byte-identical results, but separate entries: a cached calendar
-    # record must never mask a sharded-engine regression
+    # record must never mask a reference-engine regression
     assert len(cache) == 2
 
 

@@ -9,10 +9,9 @@ within each process the dedup window must hold, every process must
 come home with the complete, byte-identical result set, and the cache
 must end up fully intact.
 
-Follows the A12 convention for under-provisioned runners: below
-``GATE_CORES`` cores the stress gate skips (with the reason recorded
-in the skip message) instead of pretending single-core interleaving
-stresses anything.
+On under-provisioned runners (below ``GATE_CORES`` cores) the stress
+gate skips, with the reason recorded in the skip message, instead of
+pretending single-core interleaving stresses anything.
 """
 
 import json
@@ -28,7 +27,7 @@ PARAMS = small_test()
 
 #: processes hammering the shared cache directory
 HAMMERS = 4
-#: the A12 bar: below this many cores, concurrency is theatre
+#: below this many cores, concurrency is theatre
 GATE_CORES = 4
 
 LIBRARIES = ["MPICH", "PiP-MColl"]
@@ -37,7 +36,7 @@ SIZES = [16, 64, 256]
 needs_cores = pytest.mark.skipif(
     (os.cpu_count() or 1) < GATE_CORES,
     reason=f"stress gate needs >= {GATE_CORES} cores to run "
-           f"{HAMMERS} hammer processes side by side (A12 convention)",
+           f"{HAMMERS} hammer processes side by side",
 )
 
 

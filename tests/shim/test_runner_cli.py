@@ -1,4 +1,4 @@
-"""Runner mechanics: geometry, engine clamps, teardown, the CLI."""
+"""Runner mechanics: geometry, teardown, the CLI."""
 
 import threading
 import time
@@ -11,7 +11,7 @@ from repro.cli import main as cli_main
 from repro.machine import preset
 from repro.runtime.errors import MpiError
 from repro.shim import MPI
-from repro.shim.runner import _geometry, _serial_engine
+from repro.shim.runner import _geometry
 
 
 def _shim_threads():
@@ -61,27 +61,6 @@ def test_params_geometry_consistency():
         shim.run(app, params=params, nranks=4, trace=False)
 
 
-# -- engine normalization ----------------------------------------------
-def test_serial_engine_strips_forked_workers():
-    assert _serial_engine(None) == (None, None)
-    assert _serial_engine("calendar") == ("calendar", None)
-    assert _serial_engine("sharded:8") == ("sharded:8", None)
-    engine, note = _serial_engine("sharded:8x4")
-    assert engine == "sharded:8"
-    assert "workers 4 -> 1" in note
-
-
-def test_worker_clamp_is_reported_on_the_result():
-    def app():
-        return MPI.COMM_WORLD.Get_rank()
-
-    result = shim.run(app, nodes=4, ppn=2, engine="sharded:4x2",
-                      trace=False)
-    assert result.engine.workers == 1
-    assert result.engine.shards == 4
-    assert len(result.shim_notes) == 1 and "workers" in result.shim_notes[0]
-
-
 # -- teardown ----------------------------------------------------------
 def test_user_exception_propagates_and_threads_are_reaped():
     def app():
@@ -109,13 +88,12 @@ def test_deadlock_is_detected_and_threads_are_reaped():
     _await_no_shim_threads()
 
 
-def test_per_rank_return_values_and_notes_default():
+def test_per_rank_return_values():
     def app():
         return MPI.COMM_WORLD.Get_rank() * 10
 
     result = shim.run(app, nodes=2, ppn=2, trace=False)
     assert result.values == [0, 10, 20, 30]
-    assert result.shim_notes == ()
 
 
 def test_run_passes_args_through():
@@ -177,8 +155,8 @@ def test_cli_shim_run_no_trace(tmp_path, capsys):
     script = tmp_path / "app.py"
     script.write_text(SCRIPT)
     rc = cli_main(["shim", "run", "--nodes", "2", "--ppn", "2",
-                   "--engine", "sharded:2", "--no-trace", str(script)])
+                   "--engine", "reference", "--no-trace", str(script)])
     assert rc == 0
     out = capsys.readouterr().out
     assert "RESULT 6 ranks=4" in out
-    assert "engine sharded" in out
+    assert "engine reference" in out

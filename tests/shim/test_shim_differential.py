@@ -5,7 +5,7 @@ Simulated time only advances inside the delegated operation
 generators, so a pinned mixed sequence must produce byte-identical
 buffers, the same per-call completion times and the same total elapsed
 whether it is driven synchronously through the shim's thread bridge or
-natively as a generator app — on both the calendar and sharded
+natively as a generator app — on both the calendar and reference
 engines.
 """
 
@@ -16,7 +16,7 @@ from repro import shim
 from repro.api import Session
 from repro.shim import MPI
 
-NODES, PPN = 4, 2  # multi-node so the sharded engine survives resolve
+NODES, PPN = 4, 2
 
 
 def native_app(comm):
@@ -78,7 +78,7 @@ def shim_app():
     return laps, red_out.sum(), table.sum(), blob.sum(), ring_in.sum()
 
 
-@pytest.mark.parametrize("engine", ["calendar", "sharded:4"])
+@pytest.mark.parametrize("engine", ["calendar", "reference"])
 @pytest.mark.parametrize("library", ["MPICH", "PiP-MColl"])
 def test_shim_matches_native_timestamps(engine, library):
     native = Session(library=library, nodes=NODES, ppn=PPN, trace=False,
@@ -92,14 +92,6 @@ def test_shim_matches_native_timestamps(engine, library):
         assert shm[0] == nat[0], f"rank {rank} lap times diverged"
         # byte-identical payload checksums
         assert shm[1:] == nat[1:]
-
-
-def test_sharded_engine_actually_sharded():
-    result = shim.run(shim_app, nodes=NODES, ppn=PPN, trace=False,
-                      engine="sharded:4")
-    assert result.engine.name == "sharded"
-    assert result.engine.shards == 4
-    assert result.engine.workers == 1
 
 
 def test_traced_shim_matches_traced_native():

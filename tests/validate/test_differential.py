@@ -1,13 +1,13 @@
 """Differential + property harness: every collective, every library,
-fast path vs reference path vs the numpy oracle.
+calendar engine vs reference engine vs the numpy oracle.
 
 Three-way agreement is checked for each sampled case:
 
-* the macro-event **fast path** (``fastpath=True``, the default) and
-  the reference event path (``fastpath=False``) must produce
-  **byte-identical per-rank results, the exact same simulated time,
-  and byte-identical resource telemetry** — the fast path is an
-  engine optimisation, never a model change;
+* the default ``calendar`` engine (calendar queue, macro-event fast
+  path) and the ``reference`` engine (heap queue, reference event
+  path) must produce **byte-identical per-rank results, the exact same
+  simulated time, and byte-identical resource telemetry** — the fast
+  path is an engine optimisation, never a model change;
 * both must match :mod:`repro.validate.reference`, the pure-numpy
   oracle, byte-for-byte — a correct-looking latency can never hide a
   wrong permutation.
@@ -256,10 +256,10 @@ def _app_and_oracle(case: Case):
     raise KeyError(f"unknown collective {c.collective!r}")
 
 
-def _run(case: Case, app, fastpath: bool):
+def _run(case: Case, app, engine: str):
     session = Session(library=case.library,
                       params=broadwell_opa(nodes=case.nodes, ppn=case.ppn),
-                      trace=False, functional=True, fastpath=fastpath,
+                      trace=False, functional=True, engine=engine,
                       resources=True)
     result = session.run(app)
     telemetry = json.dumps(result.resources.as_dict(), sort_keys=True)
@@ -270,8 +270,8 @@ def _run(case: Case, app, fastpath: bool):
 def check_case(case: Case) -> None:
     """Run one case on both engine paths and diff against the oracle."""
     app, expected = _app_and_oracle(case)
-    fast_t, fast_out, fast_tl = _run(case, app, fastpath=True)
-    slow_t, slow_out, slow_tl = _run(case, app, fastpath=False)
+    fast_t, fast_out, fast_tl = _run(case, app, "calendar")
+    slow_t, slow_out, slow_tl = _run(case, app, "reference")
     assert fast_t == slow_t, \
         f"{case}: fast path moved simulated time {fast_t} != {slow_t}"
     assert fast_out == slow_out, f"{case}: fast path changed rank results"
@@ -352,10 +352,11 @@ def test_pinned_matrix(collective, library):
 
 
 # ---------------------------------------------------------------------------
-# Engine columns: the sharded kernel and the analytic evaluator must be
-# byte- and timestamp-exact vs the reference engine on the same matrix.
-# ``sim_events`` is excluded — engines legitimately differ in how many
-# scheduler entries they process; every *physical* counter must match.
+# Engine column: the calendar engine must match the reference engine's
+# hardware counters (``World.stats()``) on the same matrix, on top of
+# the time/bytes/telemetry agreement ``check_case`` asserts.
+# ``sim_events`` is excluded — the fast path legitimately processes
+# fewer scheduler entries; every *physical* counter must match.
 # ---------------------------------------------------------------------------
 def _run_engine(case: Case, app, engine):
     session = Session(library=case.library,
@@ -377,33 +378,32 @@ def test_pinned_matrix_engines(collective, library):
     for rank, (got, want) in enumerate(zip(ref_out, expected)):
         assert got == want.tobytes(), \
             f"{case}: rank {rank} reference result differs from the oracle"
-    for engine in ("sharded", "analytic"):
-        t, out, stats, result = _run_engine(case, app, engine)
-        assert result.engine.requested == engine
-        assert t == ref_t, \
-            f"{case}: {engine} moved simulated time {t} != {ref_t}"
-        assert out == ref_out, f"{case}: {engine} changed rank results"
-        assert stats == ref_stats, \
-            f"{case}: {engine} changed hardware counters"
+    t, out, stats, result = _run_engine(case, app, "calendar")
+    assert result.engine.name == "calendar" and result.engine.fastpath
+    assert t == ref_t, \
+        f"{case}: calendar moved simulated time {t} != {ref_t}"
+    assert out == ref_out, f"{case}: calendar changed rank results"
+    assert stats == ref_stats, \
+        f"{case}: calendar changed hardware counters"
 
 
-@pytest.mark.parametrize("library", ("MPICH", "IntelMPI", "OpenMPI"))
-def test_analytic_engine_engages_at_ppn1(library):
-    # ppn=1, pow2 world, eager-sized rounds: the whitelisted lockstep
-    # allgather algorithms must actually take the vectorized path (not
-    # silently fall back) and still be exact in time, bytes and stats.
-    case = Case("allgather", library, nodes=4, ppn=1, count=8,
-                dtype_name="int64", op_name="SUM", root=0, seed=11)
-    app, expected = _app_and_oracle(case)
-    ref_t, ref_out, ref_stats, _ = _run_engine(case, app, "reference")
-    t, out, stats, result = _run_engine(case, app, "analytic")
-    assert result.world.analytic is not None
-    assert result.world.analytic.hits > 0, \
-        f"{case}: evaluator never engaged"
-    assert t == ref_t and out == ref_out and stats == ref_stats
-    for rank, (got, want) in enumerate(zip(out, expected)):
-        assert got == want.tobytes(), \
-            f"{case}: rank {rank} analytic result differs from the oracle"
+def _paper_geometry_point(library, engine):
+    from repro.bench import bench_collective
+
+    point = bench_collective(library, "allgather", 64,
+                             broadwell_opa(nodes=32, ppn=18),
+                             warmup=1, iters=1, engine=engine)
+    record = point.to_record().as_dict()
+    record["stats"].pop("sim_events")
+    return json.dumps(record, sort_keys=True)
+
+
+@pytest.mark.parametrize("library", ("MPICH", "PiP-MColl"))
+def test_paper_geometry_engines_agree(library):
+    # Fig. 2's geometry (32 x 18 = 576 ranks, ppn > 1): records and
+    # World.stats() counters must be byte-equal across the two engines.
+    assert _paper_geometry_point(library, "calendar") == \
+        _paper_geometry_point(library, "reference")
 
 
 def test_pinned_ulp_telemetry_case():
@@ -448,10 +448,9 @@ def test_differential_sweep(collective, data):
 
 # ---------------------------------------------------------------------------
 # Host telemetry is observation-only: enabling the wall-clock tracer
-# must not move a single byte of any result, on any engine path —
-# including forked workers, where the tracer rides the worker pipes.
+# must not move a single byte of any result, on either engine.
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("engine", [None, "sharded:2", "sharded:2x2"])
+@pytest.mark.parametrize("engine", [None, "reference"])
 def test_host_telemetry_is_byte_identical(engine):
     from repro.bench import bench_collective
     from repro.obs import host
