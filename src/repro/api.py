@@ -31,16 +31,12 @@ Perfetto exporter and critical-path extraction (see
     result.write_perfetto("trace.json")   # → ui.perfetto.dev
     print(result.critical_path("allreduce").describe())
 
-:func:`run_app` remains as a thin shim with the original signature and
-return type (a plain list of per-rank values, tracing off).
-
 Rank programs remain generators (``yield from`` every communication),
 matching the cooperative simulation underneath.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Any, Callable, List, Optional, Sequence, Union
 
 import numpy as np
@@ -435,9 +431,8 @@ class VComm:
 class RunResult:
     """Everything one :meth:`Session.run` produced.
 
-    Sequence protocol delegates to :attr:`values`, so code written for
-    the old ``run_app`` list (``result[0]``, ``len(result)``,
-    iteration) keeps working on a :class:`RunResult`.
+    Sequence protocol delegates to :attr:`values`: ``result[0]``,
+    ``len(result)`` and iteration address the per-rank values.
     """
 
     def __init__(self, values: List[Any], elapsed: float,
@@ -542,9 +537,8 @@ class Session:
 
     def run(self, app: Callable[[VComm], Any]) -> RunResult:
         """Run an mpi4py-style generator app on every rank."""
-        # The recorder rides through the World constructor (not
-        # attach_obs) so engine resolution sees it and records the
-        # fast-path downgrade.
+        # The recorder rides through the World constructor, so engine
+        # resolution sees it and records the fast-path downgrade.
         recorder = SpanRecorder() if self.trace else None
         world: World = self._lib.make_world(self.machine,
                                             resources=self.resources,
@@ -603,33 +597,3 @@ class Session:
                          libraries=libs, warmup=warmup, iters=iters,
                          engine=self.engine, cache=cache, workers=workers,
                          progress=progress)
-
-
-def run_app(
-    app: Callable[[VComm], Any],
-    library: str = "PiP-MColl",
-    nodes: int = 4,
-    ppn: int = 4,
-    params: Optional[MachineParams] = None,
-) -> List[Any]:
-    """Run an mpi4py-style generator app on every rank; returns the
-    per-rank return values (indexed by rank).
-
-    .. deprecated::
-        Thin alias over :class:`Session` kept for existing callers —
-        same signature, same plain-list return, tracing off.  New code
-        should construct a :class:`Session`;
-        ``Session(...).run(app).values`` is this function's return
-        value.  Plain (non-generator) mpi4py-style functions run
-        unmodified through :func:`repro.shim.run`.
-    """
-    warnings.warn(
-        "run_app() is deprecated; use Session(...).run(app) for "
-        "generator apps (.values on the RunResult is run_app's old "
-        "return value), or repro.shim.run(fn) to run plain mpi4py-style "
-        "functions unmodified",
-        DeprecationWarning, stacklevel=2,
-    )
-    session = Session(library=library, nodes=nodes, ppn=ppn, params=params,
-                      trace=False)
-    return session.run(app).values

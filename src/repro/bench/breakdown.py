@@ -71,9 +71,8 @@ def profile_collective(
 ) -> CollectiveProfile:
     """Run one (warm) collective invocation under a span recorder."""
     lib = make_library(library) if isinstance(library, str) else library
-    world = lib.make_world(params, functional=False)
     recorder = SpanRecorder()
-    world.attach_obs(recorder)
+    world = lib.make_world(params, functional=False, obs=recorder)
     size = world.comm_world.size
     algo = lib.wrapped(collective, nbytes, size)
 
@@ -135,9 +134,8 @@ def measure_attribution(
     from ..obs import attribute
 
     lib = make_library(library) if isinstance(library, str) else library
-    world = lib.make_world(params, functional=functional)
     recorder = SpanRecorder()
-    world.attach_obs(recorder)
+    world = lib.make_world(params, functional=functional, obs=recorder)
     size = world.comm_world.size
     algo = lib.wrapped(collective, nbytes, size)
 

@@ -17,17 +17,6 @@ from .harness import Sweep
 MARKERS = "ox+*#@%&"
 
 
-def _nice_ticks(lo: float, hi: float, n: int = 5) -> List[float]:
-    """A few round tick values covering [lo, hi] in log space."""
-    if lo <= 0:
-        lo = min(1e-3, hi / 10 or 1e-3)
-    lo_e, hi_e = math.log10(lo), math.log10(hi)
-    ticks = []
-    for i in range(n):
-        ticks.append(10 ** (lo_e + (hi_e - lo_e) * i / (n - 1)))
-    return ticks
-
-
 def ascii_figure(sweep: Sweep, width: int = 72, height: int = 22,
                  log_y: bool = True, title: Optional[str] = None) -> str:
     """Render a sweep as an ASCII chart (log-x sizes, log-y latency)."""

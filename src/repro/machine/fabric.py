@@ -96,12 +96,6 @@ class Fabric:
         """Service time of one message on an uplink pipe."""
         return max(self.uplink_msg_gap, nbytes * self.uplink_byte_gap)
 
-    def path_latency(self, src_node: int, dst_node: int) -> float:
-        """Pure switch-hop latency of the path (excludes pipes/wire)."""
-        if self.same_pod(src_node, dst_node):
-            return self.fp.leaf_latency
-        return 2 * self.fp.leaf_latency + self.fp.spine_latency
-
     def total_interpod_bytes(self) -> int:
         """Bytes that crossed any uplink (congestion probe)."""
         return sum(u.bytes_up for u in self.uplinks)

@@ -95,8 +95,3 @@ class ClusterHardware:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    @property
-    def total_tx_messages(self) -> int:
-        """Messages injected cluster-wide (model probe)."""
-        return sum(n.tx_messages for n in self.nodes)

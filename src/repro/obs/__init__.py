@@ -1,20 +1,20 @@
 """repro.obs — span-based observability for simulated runs.
 
-The layer the flat :class:`~repro.sim.trace.Tracer` cannot be: where
-the tracer keeps a list of instants, this subsystem records
-**hierarchical spans** (``run > collective > round > message``) on
-every rank's timeline, derives a **metrics registry** from them
-(bytes by transport, retransmits, sync waits, NIC busy), exports
-**Chrome/Perfetto JSON** loadable in ``ui.perfetto.dev``, and extracts
-the **critical path** over the message-dependency graph — which rank,
-round and transport actually bound a collective.
+This subsystem records **hierarchical spans** (``run > collective >
+round > message``) on every rank's timeline, derives a **metrics
+registry** from them (bytes by transport, retransmits, sync waits, NIC
+busy), exports **Chrome/Perfetto JSON** loadable in
+``ui.perfetto.dev``, and extracts the **critical path** over the
+message-dependency graph — which rank, round and transport actually
+bound a collective.
 
 Attach via the high-level API (:class:`repro.api.Session` with
 tracing on) or directly::
 
     from repro.obs import SpanRecorder
+    from repro.runtime import World
     recorder = SpanRecorder()
-    world.attach_obs(recorder)
+    world = World(params, obs=recorder)
     ... run ...
     tree = recorder.tree()
     trace_json = to_perfetto(tree)

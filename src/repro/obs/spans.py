@@ -93,7 +93,7 @@ class _SpanHandle:
 class SpanRecorder:
     """Collects spans and derives metrics from them.
 
-    Bind to a simulator before recording (``World.attach_obs`` does
+    Bind to a simulator before recording (``World(obs=...)`` does
     this); ``metrics`` may be shared with other recorders.
     """
 

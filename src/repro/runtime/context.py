@@ -216,7 +216,7 @@ class RankContext:
             dst_world=dst_world,
         )
         # Message span: send-post → delivery (self-sends never leave
-        # the rank and stay invisible, matching the tracer).
+        # the rank and stay invisible).
         obs = self.world.obs
         msg_sid = None
         if obs is not None and dst_world != self.rank:
@@ -236,16 +236,7 @@ class RankContext:
             return SendRequest(done_event=None)
         dst_hw = self.world.hw[self.cluster.node_of(dst_world)]
         world = self.world
-        tracer = self.world.tracer
-        def _on_delivered(world=world, desc=desc, tracer=tracer,
-                          obs=obs, msg_sid=msg_sid):
-            if tracer is not None:
-                tracer.record(
-                    self.sim.now, "message",
-                    src=desc.src_world, dst=desc.dst_world,
-                    nbytes=desc.nbytes, transport=desc.transport.name,
-                    tag=desc.envelope.tag,
-                )
+        def _on_delivered(world=world, desc=desc, obs=obs, msg_sid=msg_sid):
             if msg_sid is not None:
                 obs.close(msg_sid)
             world.deliver(desc)

@@ -9,7 +9,6 @@ from ..pip import NodeBarrier, spawn_tasks
 from ..machine.params import MemoryParams
 from ..sim import Simulator
 from ..sim.spec import EngineSpec, resolve_engine
-from ..sim.trace import Tracer
 from ..machine.fabric import FabricParams
 from ..transport import NetworkTransport, Transport, make_transport
 from .buffer import BaseBuffer, alloc
@@ -62,17 +61,19 @@ class World:
         wire-layer faults are recovered (at a time cost) instead of
         being permanent losses.
     obs:
-        A :class:`~repro.obs.SpanRecorder` to bind to this world (see
-        :meth:`attach_obs`).  ``None`` (default) keeps every
+        A :class:`~repro.obs.SpanRecorder` to bind to this world: it
+        takes this world's clock and records spans at every
+        instrumentation site (collectives, rounds, messages, sync
+        waits, retransmit backoffs).  ``None`` (default) keeps every
         instrumentation site a single attribute check.
     engine:
         ``"calendar"`` (default) — calendar queue plus the macro-event
         fast path: blocking pt2pt calls run fused generators (no
         request objects, no Timeout events, batched message
         completion) that reproduce the reference path's timestamps
-        *exactly*; the fast path disarms itself whenever a tracer,
-        fault injector or span recorder is attached (those need the
-        full choreography).  ``"reference"`` — heap queue, reference
+        *exactly*; the fast path disarms itself whenever faults or a
+        span recorder are attached (those need the full
+        choreography).  ``"reference"`` — heap queue, reference
         path; the differential tests run both and assert identical
         results.  A resolved :class:`~repro.sim.spec.EngineSpec` is
         accepted too.  The outcome of
@@ -99,7 +100,6 @@ class World:
         intra: Union[str, Transport] = "posix_shmem",
         functional: bool = True,
         pip_enabled: Optional[bool] = None,
-        tracer: Optional["Tracer"] = None,
         fabric: Optional["FabricParams"] = None,
         faults: Optional[Any] = None,
         reliable: bool = False,
@@ -114,15 +114,9 @@ class World:
         self.engine = resolve_engine(
             engine,
             faults=faults is not None,
-            tracer=tracer is not None,
             obs=obs is not None,
         )
-        self.sim = Simulator(tracer=tracer, queue=self.engine.queue)
-        #: when a tracer is attached, every delivered message is
-        #: recorded as kind "message" with src/dst/bytes/transport/tag
-        self.tracer = tracer
-        #: bound SpanRecorder, or None — set via attach_obs() below
-        self.obs = None
+        self.sim = Simulator(queue=self.engine.queue)
         self.cluster = Cluster(params.nodes, params.ppn)
         self.hw = ClusterHardware(self.sim, params)
         self.intra = make_transport(intra) if isinstance(intra, str) else intra
@@ -156,6 +150,12 @@ class World:
         else:
             self.fabric = None
             self.network = NetworkTransport()
+        #: bound SpanRecorder, or None.  The network transport gets it
+        #: too, so its retransmit path can annotate backoff windows.
+        self.obs = obs
+        if obs is not None:
+            obs.bind(self.sim)
+            self.network.obs = obs
         self.loopback = _LoopbackTransport()
         self.functional = functional
         if pip_enabled is None:
@@ -194,8 +194,8 @@ class World:
             self.comms_by_id[comm.comm_id] = comm
         self.comms_by_id[self.leader_comm.comm_id] = self.leader_comm
         #: macro-event fast path armed?  Anything that must observe the
-        #: full per-message choreography (tracer, faults, obs) clears
-        #: it — resolved once by :func:`~repro.sim.spec.resolve_engine`.
+        #: full per-message choreography (faults, obs) clears it —
+        #: resolved once by :func:`~repro.sim.spec.resolve_engine`.
         self._fast = self.engine.fastpath
         self.contexts: List[RankContext] = [
             RankContext(self, rank) for rank in range(self.cluster.world_size)
@@ -204,8 +204,6 @@ class World:
         self.resources = None
         if resources:
             self.attach_resources()
-        if obs is not None:
-            self.attach_obs(obs)
         #: bound FTRuntime, or None (the default, zero-overhead)
         self.ft = None
         if ft:
@@ -214,21 +212,6 @@ class World:
 
             fparams = FtParams() if ft is True else ft
             self.ft = FTRuntime(self, fparams)
-
-    def attach_obs(self, recorder) -> None:
-        """Bind a :class:`~repro.obs.SpanRecorder` to this world.
-
-        Binds the recorder to this world's clock, turns on span
-        recording at every instrumentation site (collectives, rounds,
-        messages, sync waits), and hands the network transport the
-        recorder so its retransmit path can annotate backoff windows.
-        """
-        recorder.bind(self.sim)
-        self.obs = recorder
-        self.network.obs = recorder
-        # Spans need the per-message choreography (message spans open
-        # in isend); the fused fast path would skip them.
-        self._fast = False
 
     def attach_resources(self):
         """Attach (or return the existing) resource-utilization monitor.

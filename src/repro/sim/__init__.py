@@ -13,7 +13,6 @@ from .process import Process
 from .resources import RateLimiter, Request, Resource
 from .spec import ENGINE_NAMES, EngineSpec, resolve_engine
 from .stores import FilterStore, Store
-from .trace import TraceRecord, Tracer
 
 __all__ = [
     "AllOf",
@@ -34,7 +33,5 @@ __all__ = [
     "StopSimulation",
     "Store",
     "Timeout",
-    "TraceRecord",
-    "Tracer",
     "resolve_engine",
 ]

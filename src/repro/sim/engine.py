@@ -232,7 +232,7 @@ class Simulator:
     default — or ``"heap"``); simulations are bit-identical under both.
     """
 
-    def __init__(self, tracer=None, queue: str = "calendar") -> None:
+    def __init__(self, queue: str = "calendar") -> None:
         self.now: float = 0.0
         if queue == "calendar":
             self._queue = CalendarQueue()
@@ -242,8 +242,6 @@ class Simulator:
             raise ValueError(f"unknown queue backend {queue!r}")
         self._seq: int = 0
         self._event_count: int = 0
-        #: optional :class:`~repro.sim.trace.Tracer`
-        self.tracer = tracer
 
     # -- factories -----------------------------------------------------
     def event(self) -> Event:
@@ -319,14 +317,10 @@ class Simulator:
         cls = item.__class__
         if cls is tuple:
             fn, arg = item
-            if self.tracer is not None:
-                self.tracer.record(self.now, "event:callback")
             fn(arg)
             return
         if isinstance(item, Event):
             callbacks, item.callbacks = item.callbacks, None
-            if self.tracer is not None:
-                self.tracer.record(self.now, f"event:{cls.__name__}")
             for callback in callbacks:
                 callback(item)
             if not item.ok and not callbacks:
@@ -334,8 +328,6 @@ class Simulator:
                 # than silently dropping a crashed process.
                 raise item.value
             return
-        if self.tracer is not None:
-            self.tracer.record(self.now, "event:callback")
         item()
 
     def step(self) -> None:
@@ -357,13 +349,9 @@ class Simulator:
             # The hot loop: inlined pop + dispatch of the three item
             # kinds, cheapest (and most common at scale) first.
             pop = queue.pop
-            tracer = self.tracer
             while queue:
                 when, item = pop()
                 self.now = when
-                if tracer is not None:
-                    self._dispatch(item)
-                    continue
                 self._event_count += 1
                 cls = item.__class__
                 if cls is tuple:

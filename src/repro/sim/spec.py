@@ -17,9 +17,9 @@ queryable: ``spec.downgrades`` names every rule that fired.
 
 Downgrade rule
 --------------
-The calendar engine's fast path turns off when ``faults``, a
-``tracer`` or a span recorder (``obs``) is attached: those need the
-full per-message choreography.  The calendar queue stays.
+The calendar engine's fast path turns off when ``faults`` or a span
+recorder (``obs``) is attached: those need the full per-message
+choreography.  The calendar queue stays.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ def resolve_engine(
     engine: "Union[str, EngineSpec, None]" = None,
     *,
     faults: bool = False,
-    tracer: bool = False,
     obs: bool = False,
 ) -> EngineSpec:
     """Resolve an engine request against the world's configuration.
@@ -87,14 +86,14 @@ def resolve_engine(
     if name == "reference":
         return EngineSpec(name="reference", queue="heap", fastpath=False,
                           requested=requested)
-    fast = not faults and not tracer and not obs
-    downgrades = () if fast else (_fast_off_reason(faults, tracer, obs),)
+    fast = not faults and not obs
+    downgrades = () if fast else (_fast_off_reason(faults, obs),)
     return EngineSpec(name="calendar", queue="calendar", fastpath=fast,
                       requested=requested, downgrades=downgrades)
 
 
-def _fast_off_reason(faults: bool, tracer: bool, obs: bool) -> str:
+def _fast_off_reason(faults: bool, obs: bool) -> str:
     causes = [label for flag, label in (
-        (faults, "faults"), (tracer, "tracer"), (obs, "span recorder"),
+        (faults, "faults"), (obs, "span recorder"),
     ) if flag]
     return "fast path off (" + ", ".join(causes) + " attached)"

@@ -58,7 +58,7 @@ class Transport:
     #: wire-layer faults (drop/corrupt/...) can physically occur.
     inter_node: bool = False
     #: bound :class:`~repro.obs.SpanRecorder` (set by
-    #: ``World.attach_obs``), or None — transports with interesting
+    #: ``World(obs=...)``), or None — transports with interesting
     #: internal phases (retransmits) annotate them through this.
     obs = None
     #: True when this transport supports the macro-event pt2pt fast

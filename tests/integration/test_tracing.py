@@ -1,11 +1,12 @@
 """Trace-based verification: message counts and transport usage.
 
 An independent correctness axis: for each algorithm we know exactly
-how many messages must cross which transport.  The tracer counts them,
-so an algorithm silently doing extra (or missing) communication cannot
-pass even if its bytes come out right.
+how many messages must cross which transport.  A span recorder counts
+them (one ``cat="message"`` span per delivered message), so an
+algorithm silently doing extra (or missing) communication cannot pass
+even if its bytes come out right.
 
-Self-sends are delivered inline and do not appear as "message" records.
+Self-sends are delivered inline and do not appear as message spans.
 """
 
 import math
@@ -20,50 +21,51 @@ from repro.collectives import (
 from repro.core import mcoll_allgather, mcoll_scatter
 from repro.core.multiobject import bruck_schedule
 from repro.machine import small_test
+from repro.obs import SpanRecorder
 from repro.runtime import World
-from repro.sim import Tracer
 from repro.validate.checker import check_allgather, check_barrier, check_bcast, check_gather, check_scatter
 
 
 def traced_world(nodes, ppn, intra="posix_shmem"):
-    tracer = Tracer()
-    return World(small_test(nodes=nodes, ppn=ppn), intra=intra, tracer=tracer), tracer
+    recorder = SpanRecorder()
+    return World(small_test(nodes=nodes, ppn=ppn), intra=intra,
+                 obs=recorder), recorder
 
 
-def messages(tracer):
-    return tracer.of_kind("message")
+def messages(recorder):
+    return [s for s in recorder.spans if s.cat == "message"]
 
 
 def test_binomial_bcast_message_count():
-    world, tracer = traced_world(3, 2)
+    world, recorder = traced_world(3, 2)
     check_bcast(world, bcast_binomial, 64)
-    assert len(messages(tracer)) == world.comm_world.size - 1
+    assert len(messages(recorder)) == world.comm_world.size - 1
 
 
 def test_binomial_gather_message_count():
-    world, tracer = traced_world(3, 2)
+    world, recorder = traced_world(3, 2)
     check_gather(world, gather_binomial, 64)
-    assert len(messages(tracer)) == world.comm_world.size - 1
+    assert len(messages(recorder)) == world.comm_world.size - 1
 
 
 def test_binomial_scatter_message_count():
-    world, tracer = traced_world(2, 3)
+    world, recorder = traced_world(2, 3)
     check_scatter(world, scatter_binomial, 64)
-    assert len(messages(tracer)) == world.comm_world.size - 1
+    assert len(messages(recorder)) == world.comm_world.size - 1
 
 
 def test_bruck_allgather_message_count():
-    world, tracer = traced_world(2, 2)
+    world, recorder = traced_world(2, 2)
     check_allgather(world, allgather_bruck, 16)
     size = world.comm_world.size
-    assert len(messages(tracer)) == size * math.ceil(math.log2(size))
+    assert len(messages(recorder)) == size * math.ceil(math.log2(size))
 
 
 def test_dissemination_barrier_message_count():
-    world, tracer = traced_world(2, 3)
+    world, recorder = traced_world(2, 3)
     check_barrier(world, barrier_dissemination)
     size = world.comm_world.size
-    assert len(messages(tracer)) == size * math.ceil(math.log2(size))
+    assert len(messages(recorder)) == size * math.ceil(math.log2(size))
 
 
 def test_mcoll_allgather_message_count_and_transports():
@@ -72,55 +74,38 @@ def test_mcoll_allgather_message_count_and_transports():
     messages and *zero* intra-node messages (all local movement is
     direct shared-address-space copies)."""
     nodes, ppn = 5, 3
-    world, tracer = traced_world(nodes, ppn, intra="pip")
+    world, recorder = traced_world(nodes, ppn, intra="pip")
     check_allgather(world, mcoll_allgather, 16)
-    msgs = messages(tracer)
+    msgs = messages(recorder)
     expected = nodes * sum(
         len(bruck_schedule(nodes, ppn, rl)) for rl in range(ppn)
     )
     assert len(msgs) == expected
-    assert all(m.detail["transport"] == "network" for m in msgs)
+    assert all(m.attrs["transport"] == "network" for m in msgs)
 
 
 def test_mcoll_scatter_transports():
     nodes, ppn = 3, 2
-    world, tracer = traced_world(nodes, ppn, intra="pip")
+    world, recorder = traced_world(nodes, ppn, intra="pip")
     check_scatter(world, mcoll_scatter, 16)
-    msgs = messages(tracer)
+    msgs = messages(recorder)
     # One slab per remote node, nothing else.
     assert len(msgs) == nodes - 1
-    assert all(m.detail["transport"] == "network" for m in msgs)
-    assert all(m.detail["nbytes"] == 16 * ppn for m in msgs)
+    assert all(m.attrs["transport"] == "network" for m in msgs)
+    assert all(m.attrs["nbytes"] == 16 * ppn for m in msgs)
 
 
 def test_baseline_uses_intra_transport():
-    world, tracer = traced_world(1, 4, intra="posix_shmem")
+    world, recorder = traced_world(1, 4, intra="posix_shmem")
     check_bcast(world, bcast_binomial, 64)
-    assert all(m.detail["transport"] == "posix_shmem" for m in messages(tracer))
-
-
-def test_tracer_counts_kernel_events():
-    world, tracer = traced_world(1, 2)
-    check_bcast(world, bcast_binomial, 64)
-    assert tracer.count("event:Timeout") > 0
-    assert "trace summary" in tracer.summary()
-    first, last = tracer.span()
-    assert first <= last
-
-
-def test_tracer_counters_only_mode():
-    tracer = Tracer(keep_records=False)
-    world = World(small_test(nodes=1, ppn=2), tracer=tracer)
-    check_bcast(world, bcast_binomial, 64)
-    assert tracer.count("message") == 1
-    assert tracer.records == []
+    assert all(m.attrs["transport"] == "posix_shmem" for m in messages(recorder))
 
 
 def test_world_stats_counters():
     from repro.collectives import allgather_bruck
     from repro.validate.checker import check_allgather
 
-    world, _tracer = traced_world(2, 2)
+    world, _recorder = traced_world(2, 2)
     check_allgather(world, allgather_bruck, 64)
     stats = world.stats()
     # Bruck over 2x2: 6 of the 8 messages cross the network.
@@ -144,24 +129,19 @@ def test_world_stats_with_fabric():
     assert world.stats()["interpod_bytes"] > 0
 
 
+
 def test_chrome_trace_export():
     import json
 
-    world, tracer = traced_world(2, 2)
+    from repro.obs import to_perfetto
+
+    world, recorder = traced_world(2, 2)
     check_bcast(world, bcast_binomial, 64)
-    events = tracer.to_chrome_trace()
-    msg_events = [e for e in events if e["cat"] != "sim"]
+    events = to_perfetto(recorder.tree(), world.node_of())["traceEvents"]
+    msg_events = [e for e in events if e.get("cat") == "message"]
     assert len(msg_events) == world.comm_world.size - 1
     for e in msg_events:
-        assert e["ph"] == "i"
+        assert e["ph"] == "X"
         assert e["ts"] >= 0
         assert "nbytes" in e["args"]
     json.dumps(events)  # must be serialisable as-is
-
-
-def test_chrome_trace_skips_kernel_noise():
-    world, tracer = traced_world(1, 2)
-    check_bcast(world, bcast_binomial, 64)
-    assert tracer.count("event:Timeout") > 0  # kernel events recorded...
-    events = tracer.to_chrome_trace()
-    assert all(not e["name"].startswith("event:") for e in events)  # ...but not exported

@@ -82,9 +82,8 @@ def _traced_tree(library, collective, nbytes, params):
     from repro.mpilibs import make_library
 
     lib = make_library(library)
-    world = lib.make_world(params, functional=True)
     recorder = SpanRecorder()
-    world.attach_obs(recorder)
+    world = lib.make_world(params, functional=True, obs=recorder)
     size = world.comm_world.size
     algo = lib.wrapped(collective, nbytes, size)
 

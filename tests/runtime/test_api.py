@@ -3,15 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.api import VComm, run_app
-from repro.machine import small_test
+from repro.api import Session
 from repro.mpilibs import PAPER_LINEUP
 from repro.runtime.ops import MAX
-
-# run_app is a deprecated alias (exercised on purpose throughout this
-# module — it must keep behaving identically to Session); the dedicated
-# test below asserts the warning itself.
-pytestmark = pytest.mark.filterwarnings("ignore:run_app")
 
 
 def test_send_recv_roundtrip():
@@ -26,7 +20,7 @@ def test_send_recv_roundtrip():
             return (status.source, out.tolist())
         return None
 
-    results = run_app(app, nodes=1, ppn=2)
+    results = Session(nodes=1, ppn=2, trace=False).run(app).values
     assert results[1] == (0, (np.arange(10) * 2.0).tolist())
 
 
@@ -39,7 +33,7 @@ def test_sendrecv_ring():
         yield from comm.Sendrecv(mine, right, 0, got, left, 0)
         return int(got[0])
 
-    assert run_app(app, nodes=2, ppn=2) == [3, 0, 1, 2]
+    assert Session(nodes=2, ppn=2, trace=False).run(app).values == [3, 0, 1, 2]
 
 
 def test_bcast_in_place():
@@ -49,7 +43,7 @@ def test_bcast_in_place():
         yield from comm.Bcast(data, root=2)
         return data.tolist()
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     assert all(r == list(range(5, 11)) for r in results)
 
 
@@ -64,7 +58,7 @@ def test_scatter_gather_roundtrip():
         yield from comm.Gather(block, out, root=0)
         return out.tolist() if comm.rank == 0 else block.tolist()
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     assert results[0] == (np.arange(12) + 100.0).tolist()
     assert results[1] == [103.0, 104.0, 105.0]
 
@@ -76,7 +70,7 @@ def test_allgather():
         yield from comm.Allgather(mine, out)
         return out.tolist()
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     assert all(r == [0, 0, 1, 1, 2, 2, 3, 3] for r in results)
 
 
@@ -88,7 +82,8 @@ def test_allreduce_same_answer_under_every_library(library):
         yield from comm.Allreduce(data, total)
         return total.tolist()
 
-    results = run_app(app, library=library, nodes=2, ppn=2)
+    results = Session(library=library, nodes=2, ppn=2,
+                      trace=False).run(app).values
     want = (np.arange(4) * (1 + 2 + 3 + 4)).astype(float).tolist()
     assert all(r == want for r in results)
 
@@ -100,13 +95,14 @@ def test_allreduce_max_and_dtype_mismatch():
         yield from comm.Allreduce(data, out, op=MAX)
         return float(out[0])
 
-    assert run_app(app, nodes=1, ppn=3) == [3.0, 3.0, 3.0]
+    results = Session(nodes=1, ppn=3, trace=False).run(app).values
+    assert results == [3.0, 3.0, 3.0]
 
     def bad(comm):
         yield from comm.Allreduce(np.zeros(2, np.float64), np.zeros(2, np.float32))
 
     with pytest.raises(ValueError, match="share a dtype"):
-        run_app(bad, nodes=1, ppn=2)
+        Session(nodes=1, ppn=2, trace=False).run(bad).values
 
 
 def test_reduce_to_root():
@@ -116,7 +112,7 @@ def test_reduce_to_root():
         yield from comm.Reduce(data, out, root=1)
         return out.tolist() if comm.rank == 1 else None
 
-    results = run_app(app, nodes=1, ppn=4)
+    results = Session(nodes=1, ppn=4, trace=False).run(app).values
     assert results[1] == [10, 10, 10]
 
 
@@ -128,7 +124,7 @@ def test_alltoall():
         yield from comm.Alltoall(send, recv)
         return recv.tolist()
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     for i, row in enumerate(results):
         assert row == [j * 10 + i for j in range(4)]
 
@@ -140,7 +136,7 @@ def test_barrier_and_properties():
         yield from comm.Barrier()
         return (comm.rank, comm.node, comm.now > 0)
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     assert [r[0] for r in results] == [0, 1, 2, 3]
     assert [r[1] for r in results] == [0, 0, 1, 1]
     assert all(r[2] for r in results)
@@ -153,7 +149,8 @@ def test_custom_params():
         yield from comm.Barrier()
         return comm.size
 
-    assert run_app(app, params=skylake_ib(nodes=2, ppn=3)) == [6] * 6
+    session = Session(params=skylake_ib(nodes=2, ppn=3), trace=False)
+    assert session.run(app).values == [6] * 6
 
 
 def test_allgatherv_facade():
@@ -164,7 +161,7 @@ def test_allgatherv_facade():
         yield from comm.Allgatherv(mine, out, counts)
         return out.tolist()
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     want = [0, 1, 1, 2, 2, 2, 3, 3, 3, 3]
     assert all(r == want for r in results)
 
@@ -185,7 +182,7 @@ def test_gatherv_scatterv_facade_roundtrip():
                                 root=0)
         return out.tolist() if comm.rank == 0 else block.tolist()
 
-    results = run_app(app, nodes=1, ppn=3)
+    results = Session(nodes=1, ppn=3, trace=False).run(app).values
     total = sum(2 * (r + 1) for r in range(3))
     assert results[0] == (-np.arange(total, dtype=float)).tolist()
 
@@ -199,7 +196,7 @@ def test_iallgather_wait_overlap():
         yield from comm.Wait(req)
         return out[::4].tolist()
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     assert all(r == [0, 1, 2, 3] for r in results)
 
 
@@ -210,14 +207,14 @@ def test_istart_is_gone():
         assert not hasattr(comm, "Istart")
         yield from comm.Barrier()
 
-    run_app(app, nodes=1, ppn=2)
+    Session(nodes=1, ppn=2, trace=False).run(app).values
 
 
 # -- Session / RunResult ---------------------------------------------------
 
 
 def test_session_returns_run_result():
-    from repro.api import RunResult, Session
+    from repro.api import RunResult
 
     def app(comm):
         yield from comm.Barrier()
@@ -227,7 +224,7 @@ def test_session_returns_run_result():
     result = session.run(app)
     assert isinstance(result, RunResult)
     assert result.values == [0, 10, 20, 30]
-    # sequence protocol matches the old run_app list
+    # sequence protocol over the per-rank values
     assert len(result) == 4 and result[2] == 20
     assert list(result) == result.values
     assert result.elapsed > 0
@@ -238,8 +235,6 @@ def test_session_returns_run_result():
 
 
 def test_session_is_reusable():
-    from repro.api import Session
-
     def app(comm):
         yield from comm.Barrier()
         return comm.now
@@ -251,8 +246,6 @@ def test_session_is_reusable():
 
 
 def test_session_untraced_has_no_artifacts():
-    from repro.api import Session
-
     def app(comm):
         yield from comm.Barrier()
         return comm.rank
@@ -263,29 +256,7 @@ def test_session_untraced_has_no_artifacts():
         result.to_perfetto()
 
 
-def test_run_app_stays_a_plain_list():
-    def app(comm):
-        yield from comm.Barrier()
-        return comm.rank
-
-    results = run_app(app, nodes=1, ppn=2)
-    assert type(results) is list
-    assert results == [0, 1]
-
-
-@pytest.mark.filterwarnings("error:run_app")
-def test_run_app_warns_deprecation():
-    def app(comm):
-        yield from comm.Barrier()
-        return comm.rank
-
-    with pytest.warns(DeprecationWarning, match="run_app"):
-        results = run_app(app, nodes=1, ppn=2)
-    assert results == [0, 1]
-
-
 def test_session_accepts_engine():
-    from repro.api import Session
     from repro.sim.spec import EngineSpec
 
     def app(comm):
@@ -305,8 +276,6 @@ def test_session_accepts_engine():
 def test_session_traced_downgrade_is_visible():
     # trace=True attaches a span recorder, which the engine resolution
     # must see: the calendar engine's fast path turns off, on record.
-    from repro.api import Session
-
     def app(comm):
         yield from comm.Barrier()
         return comm.rank
@@ -330,7 +299,7 @@ def test_split_subcommunicator():
         yield from sub.Allgather(mine, out)
         return (sub.rank, out.tolist())
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     assert results[0] == (0, [0, 2])
     assert results[1] == (0, [1, 3])
     assert results[2] == (1, [0, 2])
@@ -350,7 +319,8 @@ def test_split_collectives_work_under_any_library(library):
         yield from sub.Barrier()
         return total[0]
 
-    results = run_app(app, library=library, nodes=2, ppn=2)
+    results = Session(library=library, nodes=2, ppn=2,
+                      trace=False).run(app).values
     assert results == [3.0, 3.0, 7.0, 7.0]
 
 
@@ -361,7 +331,7 @@ def test_split_undefined_color():
             return sub
         return sub.size
 
-    results = run_app(app, nodes=1, ppn=3)
+    results = Session(nodes=1, ppn=3, trace=False).run(app).values
     assert results == [None, 2, 2]
 
 
@@ -377,7 +347,7 @@ def test_iallgather_wait():
         yield from comm.Wait(req)
         return out[::4].tolist()
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     assert all(r == [0, 1, 2, 3] for r in results)
 
 
@@ -391,7 +361,7 @@ def test_ibcast_and_iallreduce():
         yield from comm.Wait(req)
         return (data[0], total[0])
 
-    results = run_app(app, nodes=1, ppn=4)
+    results = Session(nodes=1, ppn=4, trace=False).run(app).values
     assert all(r == (1.0, 6.0) for r in results)
 
 
@@ -401,7 +371,7 @@ def test_ibarrier():
         yield from comm.Wait(req)
         return comm.now > 0
 
-    assert all(run_app(app, nodes=1, ppn=2))
+    assert all(Session(nodes=1, ppn=2, trace=False).run(app).values)
 
 
 # -- new collective surface ------------------------------------------------
@@ -414,7 +384,7 @@ def test_reduce_scatter_facade():
         yield from comm.Reduce_scatter(send, recv)
         return recv.tolist()
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     for rank, got in enumerate(results):
         assert got == [4.0 * (2 * rank), 4.0 * (2 * rank + 1)]
 
@@ -426,7 +396,7 @@ def test_reduce_scatter_rejects_ragged_counts():
         yield from comm.Reduce_scatter(send, recv, recvcounts=[1, 3])
 
     with pytest.raises(NotImplementedError, match="uniform"):
-        run_app(app, nodes=1, ppn=2)
+        Session(nodes=1, ppn=2, trace=False).run(app).values
 
 
 def test_scan_exscan_facade():
@@ -438,7 +408,7 @@ def test_scan_exscan_facade():
         yield from comm.Exscan(mine, exc)
         return (int(inc[0]), int(exc[0]))
 
-    results = run_app(app, nodes=1, ppn=4)
+    results = Session(nodes=1, ppn=4, trace=False).run(app).values
     assert [r[0] for r in results] == [1, 3, 6, 10]
     assert [r[1] for r in results][1:] == [1, 3, 6]  # rank 0 undefined
 
@@ -451,5 +421,5 @@ def test_alltoallv_facade():
         yield from comm.Alltoallv(send, [1] * n, recv, [1] * n)
         return recv.tolist()
 
-    results = run_app(app, nodes=2, ppn=2)
+    results = Session(nodes=2, ppn=2, trace=False).run(app).values
     assert all(r == [0.0, 1.0, 2.0, 3.0] for r in results)

@@ -9,9 +9,11 @@ within each process the dedup window must hold, every process must
 come home with the complete, byte-identical result set, and the cache
 must end up fully intact.
 
-On under-provisioned runners (below ``GATE_CORES`` cores) the stress
-gate skips, with the reason recorded in the skip message, instead of
-pretending single-core interleaving stresses anything.
+On under-provisioned runners (below ``GATE_CORES`` cores) the
+four-process stress gate skips, with the reason recorded in the skip
+message, instead of pretending single-core interleaving stresses
+anything.  A two-process companion runs everywhere, so the same
+invariants are asserted on any core count.
 """
 
 import json
@@ -55,19 +57,20 @@ def _hammer(cache_dir, barrier, out, idx):
               for p in points]))
 
 
-@needs_cores
-def test_hammering_one_cache_dir(tmp_path):
+def _assert_stampede_invariants(tmp_path, hammers):
+    """``hammers`` processes run the grid against one cache directory
+    at once; every invariant of the module docstring must hold."""
     ctx = multiprocessing.get_context("fork")
     cache_dir = tmp_path / "shared"
-    barrier = ctx.Barrier(HAMMERS)
+    barrier = ctx.Barrier(hammers)
     out = ctx.Queue()
     procs = [ctx.Process(target=_hammer,
                          args=(cache_dir, barrier, out, i))
-             for i in range(HAMMERS)]
+             for i in range(hammers)]
     for p in procs:
         p.start()
     results = {}
-    for _ in range(HAMMERS):
+    for _ in range(hammers):
         idx, computed_keys, records = out.get(timeout=120)
         results[idx] = (computed_keys, records)
     for p in procs:
@@ -76,10 +79,10 @@ def test_hammering_one_cache_dir(tmp_path):
 
     grid = _grid()
     # -- complete, byte-identical result sets --------------------------
-    assert set(results) == set(range(HAMMERS))
+    assert set(results) == set(range(hammers))
     reference = results[0][1]
     assert len(reference) == len(grid)
-    for idx in range(1, HAMMERS):
+    for idx in range(1, hammers):
         assert results[idx][1] == reference
 
     # -- dedup window held inside every process ------------------------
@@ -100,6 +103,17 @@ def test_hammering_one_cache_dir(tmp_path):
     # no stray temp files survived the races
     stray = [p for p in cache.dir.rglob("*") if p.suffix == ".tmp"]
     assert stray == []
+
+
+@needs_cores
+def test_hammering_one_cache_dir(tmp_path):
+    _assert_stampede_invariants(tmp_path, HAMMERS)
+
+
+def test_two_hammers_on_any_core_count(tmp_path):
+    # The ungated companion: two processes still race on every key,
+    # so the invariants are checked even where the gate above skips.
+    _assert_stampede_invariants(tmp_path, 2)
 
 
 @needs_cores

@@ -56,8 +56,7 @@ def test_default_engine_and_fast_path_downgrade():
                                                       "calendar", True)
     assert spec.requested is None
 
-    for flag, needle in (("faults", "faults"), ("tracer", "tracer"),
-                         ("obs", "span recorder")):
+    for flag, needle in (("faults", "faults"), ("obs", "span recorder")):
         slow = resolve_engine(None, **{flag: True})
         assert slow.name == "calendar" and slow.queue == "calendar"
         assert not slow.fastpath, flag
@@ -78,13 +77,67 @@ def test_spec_reresolution_preserves_request():
     # ... and against friendly conditions reproduces the original.
     assert resolve_engine(first) == first
     ref = resolve_engine("reference")
-    assert resolve_engine(ref, tracer=True) == ref
+    assert resolve_engine(ref, obs=True) == ref
 
 
 def test_describe_mentions_downgrades():
-    spec = resolve_engine("calendar", tracer=True)
+    spec = resolve_engine("calendar", obs=True)
     text = spec.describe()
     assert "downgraded" in text and "fast path off" in text
     assert ENGINE_NAMES == ("reference", "calendar")
     assert isinstance(spec, EngineSpec)
 
+
+
+# -- a span recorder reaches a world only through its constructor ---------
+
+
+def _world_with_recorder(way, engine):
+    """A world that ran with a span recorder, attached the given way."""
+    from repro import shim
+    from repro.api import Session
+    from repro.obs import SpanRecorder
+    from repro.shim import MPI
+
+    def app(comm):
+        yield from comm.Barrier()
+
+    if way == "World(obs=)":
+        return World(small_test(nodes=2, ppn=2), obs=SpanRecorder(),
+                     engine=engine)
+    if way == "make_world(obs=)":
+        return make_library("MPICH").make_world(
+            small_test(nodes=2, ppn=2), obs=SpanRecorder(), engine=engine)
+    if way == "Session(trace=True)":
+        session = Session(nodes=2, ppn=2, trace=True, engine=engine)
+        return session.run(app).world
+    return shim.run(lambda: MPI.COMM_WORLD.Barrier(), nodes=2, ppn=2,
+                    trace=True, engine=engine).world
+
+
+@pytest.mark.parametrize("engine", ENGINE_NAMES)
+@pytest.mark.parametrize("way", ["World(obs=)", "make_world(obs=)",
+                                 "Session(trace=True)",
+                                 "shim.run(trace=True)"])
+def test_world_engine_reports_the_path_it_runs(way, engine):
+    world = _world_with_recorder(way, engine)
+    assert world.obs is not None
+    assert world.engine.fastpath == world._fast
+    assert not world._fast
+    if engine == "calendar":
+        assert world.engine.downgrades == (
+            "fast path off (span recorder attached)",)
+    else:
+        assert world.engine.downgrades == ()
+
+
+def test_kernel_tracer_and_attach_obs_are_gone():
+    with pytest.raises(TypeError):
+        World(small_test(), tracer=object())
+    with pytest.raises(TypeError):
+        resolve_engine("calendar", tracer=True)
+    # a recorder reaches a world only through World(obs=...)
+    assert [name for name in dir(World) if name.startswith("attach")] \
+        == ["attach_resources"]
+    with pytest.raises(ImportError):
+        import repro.sim.trace  # noqa: F401
