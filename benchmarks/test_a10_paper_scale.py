@@ -1,7 +1,7 @@
 """A10 — Paper-scale engine acceptance: Fig. 2 at full 2304 ranks.
 
-The macro-event fast path (calendar-queue scheduler, zero-copy buffer
-views, batched eager completion, hash-bucketed matching) exists so the
+The macro-event fast path (zero-copy buffer views, batched eager
+completion, parked receives, hash-bucketed matching) exists so the
 paper's full machine — 128 nodes × 18 ppn = 2304 simulated ranks — is
 a routine test-suite citizen rather than an overnight job.  This
 experiment pins that down three ways:

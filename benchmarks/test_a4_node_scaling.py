@@ -84,8 +84,9 @@ def test_a4_engine_fast_path_speedup(benchmark):
     The wall-clock floor is deliberately conservative (shared CI
     runners): locally the fused pt2pt path runs ~1.3–1.5× the
     reference path, and ~1.7× the pre-PR event loop end-to-end (the
-    engine rewrite — calendar queue, tuple-dispatched wakes, slotted
-    events, bucketed matching — also sped the reference path up).
+    engine rewrite — one inlined heap scheduler, tuple-dispatched
+    wakes, slotted events, bucketed matching — also sped the reference
+    path up).
     Both sides run in this process, so the ratio is noise-robust.
     """
     def run():

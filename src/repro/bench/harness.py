@@ -101,27 +101,25 @@ def _buffers(ctx, collective: str, nbytes: int, size: int, root: int):
 
 
 def _invoke(algo, ctx, bufs, collective: str, root: int):
-    """One collective call with family-appropriate arguments."""
+    """One collective call with family-appropriate arguments.
+
+    Returns the collective's generator (callers ``yield from`` it)
+    rather than wrapping it in one more: every resume of a rank passes
+    through each generator frame on its stack.
+    """
     if collective == "bcast":
-        yield from algo(ctx, bufs["view"], root=root)
-    elif collective == "scatter":
-        yield from algo(ctx, bufs["send"], bufs["recv"], root=root)
-    elif collective == "gather":
-        yield from algo(ctx, bufs["send"], bufs["recv"], root=root)
-    elif collective == "allgather":
-        yield from algo(ctx, bufs["send"], bufs["recv"])
-    elif collective == "allreduce":
-        yield from algo(ctx, bufs["send"], bufs["recv"], FLOAT64, SUM)
-    elif collective == "reduce":
-        yield from algo(ctx, bufs["send"], bufs["recv"], FLOAT64, SUM, root=root)
-    elif collective == "alltoall":
-        yield from algo(ctx, bufs["send"], bufs["recv"])
-    elif collective == "reduce_scatter":
-        yield from algo(ctx, bufs["send"], bufs["recv"], FLOAT64, SUM)
-    elif collective == "barrier":
-        yield from algo(ctx)
-    else:  # pragma: no cover - guarded by _buffers
-        raise KeyError(collective)
+        return algo(ctx, bufs["view"], root=root)
+    if collective in ("scatter", "gather"):
+        return algo(ctx, bufs["send"], bufs["recv"], root=root)
+    if collective in ("allgather", "alltoall"):
+        return algo(ctx, bufs["send"], bufs["recv"])
+    if collective in ("allreduce", "reduce_scatter"):
+        return algo(ctx, bufs["send"], bufs["recv"], FLOAT64, SUM)
+    if collective == "reduce":
+        return algo(ctx, bufs["send"], bufs["recv"], FLOAT64, SUM, root=root)
+    if collective == "barrier":
+        return algo(ctx)
+    raise KeyError(collective)  # pragma: no cover - guarded by _buffers
 
 
 def bench_collective(

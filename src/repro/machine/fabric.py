@@ -88,10 +88,6 @@ class Fabric:
         """Pod (leaf switch) hosting ``node``."""
         return node // self.fp.pod_size
 
-    def same_pod(self, a: int, b: int) -> bool:
-        """True when two nodes share a leaf switch."""
-        return self.pod_of(a) == self.pod_of(b)
-
     def uplink_time(self, nbytes: int) -> float:
         """Service time of one message on an uplink pipe."""
         return max(self.uplink_msg_gap, nbytes * self.uplink_byte_gap)

@@ -46,8 +46,8 @@ def spawn_tasks(cluster: Cluster, pip_enabled: bool) -> Dict[int, PipTask]:
         AddressSpace(node_id, pip_enabled) for node_id in range(cluster.nodes)
     ]
     for rank in cluster.ranks():
-        node = cluster.node_of(rank)
+        node, local = divmod(rank, cluster.ppn)  # block layout (Cluster)
         space = spaces[node]
         space.join(rank)
-        tasks[rank] = PipTask(rank, cluster.local_rank(rank), space)
+        tasks[rank] = PipTask(rank, local, space)
     return tasks

@@ -65,8 +65,7 @@ class BaseBuffer:
         """A window onto this buffer."""
         if nbytes is None:
             nbytes = self.nbytes - offset
-        self._check_range(offset, nbytes)
-        return BufferView(self, offset, nbytes)
+        return BufferView(self, offset, nbytes)  # range-checked there
 
 
 class ArrayBuffer(BaseBuffer):

@@ -34,11 +34,12 @@ class Communicator:
 
     def to_world(self, comm_rank: int) -> int:
         """World rank of ``comm_rank``."""
-        if not 0 <= comm_rank < self.size:
+        ranks = self.world_ranks
+        if not 0 <= comm_rank < len(ranks):
             raise RankMismatchError(
-                f"{self.name}: rank {comm_rank} out of range [0, {self.size})"
+                f"{self.name}: rank {comm_rank} out of range [0, {len(ranks)})"
             )
-        return self.world_ranks[comm_rank]
+        return ranks[comm_rank]
 
     def to_comm(self, world_rank: int) -> int:
         """This communicator's rank for ``world_rank``."""

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Hashable, List, Optional, Sequence
 
 from ..obs.spans import NULL_SPAN
 from ..pip.errors import AddressSpaceViolation
+from ..sim import ParkSlot
 from ..transport.base import Transport, WireDescriptor
 from .buffer import BaseBuffer, BufferView, alloc
 from .communicator import Communicator
@@ -34,61 +35,66 @@ from .request import OperationRequest, RecvRequest, Request, SendRequest
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .world import World
 
-#: fast-path routing kinds (see :class:`_PeerPlan`)
+#: routing kinds (see :class:`Route`)
 _LOOP, _INTRA, _NET = 0, 1, 2
 
 
 def _net_handoff(arg):
-    """Scheduled-tuple trampoline: run the network handoff at its
-    instant without resuming the sender's generator (the tuple is
-    pushed in the same queue position the resume would occupy, so
-    pipe-reservation order is unchanged)."""
+    """Queue action: run the network handoff at its instant without
+    resuming the sender's generator (the action is pushed in the same
+    queue position the resume would occupy, so pipe-reservation order
+    is unchanged)."""
     transport, src_hw, dst_hw, desc, world = arg
     transport.schedule_delivery_fast(src_hw, dst_hw, desc, world)
 
 
 def _intra_handoff(arg):
-    """Scheduled-tuple trampoline for the intra-node flag delay."""
+    """Queue action for the intra-node flag delay."""
     world, flag, desc = arg
-    world.sim.call_in(flag, (world.deliver, desc))
+    world.sim.call_in(flag, world.deliver, desc)
 
 
-class _PeerPlan:
-    """Cached routing decision for one ``(communicator, dst)`` pair.
+class Route:
+    """How a message travels from one rank's node to a destination.
 
-    The slow path re-derives the destination world rank, transport,
-    destination hardware and eligibility on *every* message; at paper
-    scale (2304 ranks × thousands of messages each) that bookkeeping
-    dominates.  A plan freezes it all after the first message.
+    Re-deriving the transport, the destination hardware and fast-path
+    eligibility on *every* message dominates at paper scale (2304
+    ranks × thousands of messages each).  A route depends only on the
+    (source node, destination node) pair, so :attr:`World.routes
+    <repro.runtime.world.World.routes>` holds one per pair, built on
+    first use and shared by every rank of the source node; self-sends
+    share the world's ``loop_route``.  Both engine paths route this way.
     """
 
-    __slots__ = ("dst_world", "kind", "transport", "dst_hw", "flag_delay",
+    __slots__ = ("kind", "transport", "dst_hw", "flag_delay",
                  "eager_limit", "fast")
 
-    def __init__(self, ctx: "RankContext", comm: Communicator, dst: int) -> None:
-        dst_world = comm.to_world(dst)
-        world = ctx.world
-        transport = ctx._transport_to(dst_world)
-        self.dst_world = dst_world
+    def __init__(self, kind: int, transport: Transport, dst_hw=None,
+                 fast: bool = True, flag_delay: float = 0.0,
+                 eager_limit: Optional[int] = None) -> None:
+        self.kind = kind
         self.transport = transport
-        self.flag_delay = 0.0
-        self.eager_limit = None
-        if dst_world == ctx.rank:
-            self.kind = _LOOP
-            self.dst_hw = None
-            self.fast = True
-        elif world.cluster.same_node(ctx.rank, dst_world):
-            self.kind = _INTRA
-            self.dst_hw = world.hw[world.cluster.node_of(dst_world)]
-            delay = transport.delivery_flat_delay(ctx.node_hw) \
+        self.dst_hw = dst_hw
+        #: fused pt2pt path usable (eager messages only, on the network)
+        self.fast = fast
+        #: intra-node delivery delay (flag visibility)
+        self.flag_delay = flag_delay
+        #: network eager limit; None for routes without one
+        self.eager_limit = eager_limit
+
+    @classmethod
+    def between(cls, world: "World", src_node: int, dst_node: int) -> "Route":
+        """The route from ``src_node`` to ``dst_node`` (distinct ranks)."""
+        dst_hw = world.hw[dst_node]
+        if src_node == dst_node:
+            transport = world.intra
+            delay = transport.delivery_flat_delay(world.hw[src_node]) \
                 if transport.fast_pt2pt else None
-            self.fast = delay is not None
-            self.flag_delay = delay if delay is not None else 0.0
-        else:
-            self.kind = _NET
-            self.dst_hw = world.hw[world.cluster.node_of(dst_world)]
-            self.fast = transport.fast_pt2pt
-            self.eager_limit = world.params.nic.eager_limit
+            return cls(_INTRA, transport, dst_hw, fast=delay is not None,
+                       flag_delay=delay if delay is not None else 0.0)
+        transport = world.network
+        return cls(_NET, transport, dst_hw, fast=transport.fast_pt2pt,
+                   eager_limit=world.params.nic.eager_limit)
 
 
 class RankContext:
@@ -100,8 +106,8 @@ class RankContext:
         self.sim = world.sim
         self.cluster = world.cluster
         self.params = world.params
-        self.node_id = world.cluster.node_of(rank)
-        self.local_rank = world.cluster.local_rank(rank)
+        # Block layout (Cluster): ``rank`` comes from the world's range.
+        self.node_id, self.local_rank = divmod(rank, world.cluster.ppn)
         self.node_hw = world.hw[self.node_id]
         self.task = world.tasks[rank]
         self.matching = world.matching[rank]
@@ -120,10 +126,15 @@ class RankContext:
         #: always on, incremented identically by both engine paths.
         self.nic_msgs = 0
         self.nic_bytes = 0
-        # -- fast-path caches (per peer / per envelope) ----------------
-        self._plans: dict = {}
+        # -- routing and envelopes ----------------------------------------
+        self._ppn = world.cluster.ppn
+        #: this node's route table (dst node → Route), shared by its ranks
+        self._routes = world.routes[self.node_id]
+        self._loop_route = world.loop_route
+        #: world-shared interned envelopes, keyed (comm_id, src, tag)
+        self._envelopes = world.envelopes
+        #: (comm_id, tag) → this rank's send envelope
         self._send_envs: dict = {}
-        self._recv_envs: dict = {}
         self._base_dispatch = world.params.cpu.dispatch_overhead
         self._functional = world.functional
 
@@ -169,13 +180,17 @@ class RankContext:
             return NULL_SPAN
         return obs.span(self.rank, name, cat, **attrs)
 
-    # -- transport selection ----------------------------------------------
-    def _transport_to(self, dst_world: int) -> Transport:
+    # -- routing -----------------------------------------------------------
+    def _route(self, dst_world: int) -> Route:
+        """The route to world rank ``dst_world`` (already range-checked)."""
         if dst_world == self.rank:
-            return self.world.loopback
-        if self.cluster.same_node(self.rank, dst_world):
-            return self.world.intra
-        return self.world.network
+            return self._loop_route
+        dst_node = dst_world // self._ppn
+        route = self._routes.get(dst_node)
+        if route is None:
+            route = Route.between(self.world, self.node_id, dst_node)
+            self._routes[dst_node] = route
+        return route
 
     # -- point-to-point -----------------------------------------------------
     def isend(self, view: BufferView, dst: int, tag: int = 0,
@@ -197,7 +212,8 @@ class RankContext:
             if gate is not None:
                 yield gate  # fail-stop: never resumes
         self.last_op = ("send", dst_world, tag)
-        transport = self._transport_to(dst_world)
+        route = self._route(dst_world)
+        transport = route.transport
         if transport.inter_node:
             self.nic_msgs += 1
             self.nic_bytes += view.nbytes
@@ -234,7 +250,7 @@ class RankContext:
         if dst_world == self.rank:
             self.world.deliver(desc)
             return SendRequest(done_event=None)
-        dst_hw = self.world.hw[self.cluster.node_of(dst_world)]
+        dst_hw = route.dst_hw
         world = self.world
         def _on_delivered(world=world, desc=desc, obs=obs, msg_sid=msg_sid):
             if msg_sid is not None:
@@ -323,33 +339,29 @@ class RankContext:
                     pending.append(signal)
             yield self.sim.any_of(pending)
 
-    # -- fast-path caches --------------------------------------------------
-    def _plan(self, comm: Communicator, dst: int) -> _PeerPlan:
-        key = (comm.comm_id, dst)
-        plan = self._plans.get(key)
-        if plan is None:
-            plan = _PeerPlan(self, comm, dst)
-            self._plans[key] = plan
-        return plan
-
+    # -- envelopes -----------------------------------------------------------
     def _send_env(self, comm: Communicator, tag: int) -> Envelope:
         key = (comm.comm_id, tag)
         env = self._send_envs.get(key)
         if env is None:
-            env = Envelope(comm.comm_id, comm.to_comm(self.rank), tag)
+            env = self._envelope(comm.comm_id, comm.to_comm(self.rank), tag)
             self._send_envs[key] = env
         return env
 
     def _recv_pattern(self, comm: Communicator, src: int, tag: int) -> Envelope:
-        key = (comm.comm_id, src, tag)
-        pattern = self._recv_envs.get(key)
-        if pattern is None:
-            comm.to_comm(self.rank)  # membership check
-            if src != ANY_SOURCE:
-                comm.to_world(src)  # range check
-            pattern = Envelope(comm.comm_id, src, tag)
-            self._recv_envs[key] = pattern
-        return pattern
+        comm.to_comm(self.rank)  # membership check
+        if src != ANY_SOURCE:
+            comm.to_world(src)  # range check
+        return self._envelope(comm.comm_id, src, tag)
+
+    def _envelope(self, comm_id: int, src: int, tag: int) -> Envelope:
+        """The world's interned ``Envelope(comm_id, src, tag)``: one
+        rank's send envelope is every peer's receive pattern for it."""
+        key = (comm_id, src, tag)
+        env = self._envelopes.get(key)
+        if env is None:
+            env = self._envelopes[key] = Envelope(comm_id, src, tag)
+        return env
 
     # -- blocking pt2pt ----------------------------------------------------
     # send/recv/sendrecv are plain functions returning the appropriate
@@ -364,27 +376,27 @@ class RankContext:
         """Blocking send."""
         comm = comm or self.comm_world
         if self.world._fast:
-            plan = self._plan(comm, dst)
-            if plan.fast and (plan.eager_limit is None
-                              or view.nbytes <= plan.eager_limit):
+            dst_world = comm.to_world(dst)
+            route = self._route(dst_world)
+            if route.fast and (route.eager_limit is None
+                               or view.nbytes <= route.eager_limit):
                 if tag < 0:
                     raise ValueError(f"send tag must be >= 0, got {tag}")
-                return self._send_fast(plan, view, tag, comm)
+                return self._send_fast(route, dst_world, view, tag, comm)
         return self._send_slow(view, dst, tag, comm)
 
     def _send_slow(self, view, dst, tag, comm):
         req = yield from self.isend(view, dst, tag, comm)
         yield from self.wait(req)
 
-    def _send_fast(self, plan: _PeerPlan, view: BufferView, tag: int,
-                   comm: Communicator):
+    def _send_fast(self, route: Route, dst_world: int, view: BufferView,
+                   tag: int, comm: Communicator):
         # Mirrors isend + wait for an eager message: the sender-side
         # flat time (which may reserve membus bandwidth) is computed at
         # the call instant, exactly as the reference isend body does.
         world = self.world
         sim = self.sim
-        dst_world = plan.dst_world
-        transport = plan.transport
+        transport = route.transport
         self.last_op = ("send", dst_world, tag)
         nbytes = view.nbytes
         wire = WireDescriptor(self.rank, dst_world, nbytes, view.key)
@@ -395,14 +407,14 @@ class RankContext:
         )
         sflat = transport.sender_flat_time(self.node_hw, wire)
         yield self._base_dispatch - self._dispatch_discount + sflat
-        kind = plan.kind
+        kind = route.kind
         if kind == _NET:
             self.nic_msgs += 1
             self.nic_bytes += nbytes
-            transport.schedule_delivery_fast(self.node_hw, plan.dst_hw,
+            transport.schedule_delivery_fast(self.node_hw, route.dst_hw,
                                              desc, world)
         elif kind == _INTRA:
-            sim.call_at(sim.now + plan.flag_delay, (world.deliver, desc))
+            sim.call_at(sim.now + route.flag_delay, world.deliver, desc)
         else:
             world.deliver(desc)
         # Eager: the buffer is reusable now, waiting is free.
@@ -430,9 +442,9 @@ class RankContext:
         matching = self.matching
         desc = matching.claim(pattern)
         if desc is None:
-            ev = self.sim.event()
-            matching.post(pattern, ev)
-            desc = yield ev
+            slot = ParkSlot()
+            matching.post(pattern, slot)
+            desc = yield slot
         if desc.nbytes > view.nbytes:
             raise TruncationError(
                 f"rank {self.rank}: message of {desc.nbytes} B arrived for a "
@@ -460,13 +472,15 @@ class RankContext:
         """Paired exchange (deadlock-free); returns the receive status."""
         comm = comm or self.comm_world
         if self.world._fast:
-            plan = self._plan(comm, dst)
-            if plan.fast and (plan.eager_limit is None
-                              or send_view.nbytes <= plan.eager_limit):
+            dst_world = comm.to_world(dst)
+            route = self._route(dst_world)
+            if route.fast and (route.eager_limit is None
+                               or send_view.nbytes <= route.eager_limit):
                 if send_tag < 0:
                     raise ValueError(f"send tag must be >= 0, got {send_tag}")
-                return self._sendrecv_fast(plan, send_view, send_tag,
-                                           recv_view, src, recv_tag, comm)
+                return self._sendrecv_fast(route, dst_world, send_view,
+                                           send_tag, recv_view, src,
+                                           recv_tag, comm)
         return self._sendrecv_slow(send_view, dst, send_tag,
                                    recv_view, src, recv_tag, comm)
 
@@ -478,9 +492,10 @@ class RankContext:
         status = yield from self.wait(rreq)
         return status
 
-    def _sendrecv_fast(self, plan: _PeerPlan, send_view: BufferView,
-                       send_tag: int, recv_view: BufferView, src: int,
-                       recv_tag: int, comm: Communicator):
+    def _sendrecv_fast(self, route: Route, dst_world: int,
+                       send_view: BufferView, send_tag: int,
+                       recv_view: BufferView, src: int, recv_tag: int,
+                       comm: Communicator):
         # One fused generator reproducing the reference choreography's
         # timestamps and same-instant ordering exactly:
         #   t        : recv dispatch starts
@@ -496,13 +511,12 @@ class RankContext:
         yield self._base_dispatch - self._dispatch_discount
         matching = self.matching
         desc_r = matching.claim(pattern)
-        ev = None
+        slot = None
         if desc_r is None:
-            ev = sim.event()
-            matching.post(pattern, ev)
+            slot = ParkSlot()
+            matching.post(pattern, slot)
         # -- send side (inline, same pop) --
-        dst_world = plan.dst_world
-        transport = plan.transport
+        transport = route.transport
         self.last_op = ("send", dst_world, send_tag)
         nbytes = send_view.nbytes
         wire = WireDescriptor(self.rank, dst_world, nbytes, send_view.key)
@@ -513,7 +527,7 @@ class RankContext:
         )
         sflat = transport.sender_flat_time(self.node_hw, wire)
         delay = self._base_dispatch - self._dispatch_discount + sflat
-        kind = plan.kind
+        kind = route.kind
         if kind == _NET:
             self.nic_msgs += 1
             self.nic_bytes += nbytes
@@ -521,31 +535,31 @@ class RankContext:
             # Claimed: the message is already here — stay inline.
             yield delay
             if kind == _NET:
-                transport.schedule_delivery_fast(self.node_hw, plan.dst_hw,
+                transport.schedule_delivery_fast(self.node_hw, route.dst_hw,
                                                  desc_s, world)
             elif kind == _INTRA:
-                sim.call_in(plan.flag_delay, (world.deliver, desc_s))
+                sim.call_in(route.flag_delay, world.deliver, desc_s)
             else:
                 world.deliver(desc_s)
         else:
-            # Posted: hand the send off as a bare scheduled tuple and
-            # wait for the match directly, skipping one generator
-            # resume per exchange.  The tuple occupies the queue
-            # position the dispatch-resume would have (last push of
-            # this pop), so same-instant reservation order — and hence
-            # every timestamp — is unchanged.
+            # Posted: hand the send off as a bare scheduled action and
+            # park until the match, skipping one generator resume per
+            # exchange.  The action occupies the queue position the
+            # dispatch-resume would have (last push of this pop), so
+            # same-instant reservation order — and hence every
+            # timestamp — is unchanged.
             if kind == _NET:
-                sim.call_in(delay, (_net_handoff,
-                                    (transport, self.node_hw, plan.dst_hw,
-                                     desc_s, world)))
+                sim.call_in(delay, _net_handoff,
+                            (transport, self.node_hw, route.dst_hw,
+                             desc_s, world))
             elif kind == _INTRA:
-                sim.call_in(delay, (_intra_handoff,
-                                    (world, plan.flag_delay, desc_s)))
+                sim.call_in(delay, _intra_handoff,
+                            (world, route.flag_delay, desc_s))
             else:
-                sim.call_in(delay, (world.deliver, desc_s))
+                sim.call_in(delay, world.deliver, desc_s)
             handoff_at = sim.now + delay
             # -- recv completion (the reference wait(rreq)) --
-            desc_r = yield ev
+            desc_r = yield slot
             if sim.now < handoff_at:
                 # Early arrival: the rank is still busy dispatching its
                 # own send until ``handoff_at``.

@@ -14,9 +14,9 @@ two paths is kept via monotonically increasing sequence numbers.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple, Union
 
-from ..sim import Event
+from ..sim import Event, ParkSlot
 from .message import ANY_SOURCE, ANY_TAG, Envelope, MessageDescriptor
 
 _Key = Tuple[int, int, int]  # (comm_id, src, tag)
@@ -32,7 +32,10 @@ class PostedRecv(NamedTuple):
 
     seq: int
     pattern: Envelope
-    event: Event  # succeeds with the MessageDescriptor
+    #: succeeds with the MessageDescriptor: an :class:`Event`, or the
+    #: :class:`~repro.sim.ParkSlot` a fast-path receive parks on (its
+    #: ``succeed`` takes the same queue position, without the Event)
+    event: Union[Event, ParkSlot]
 
 
 class MatchingEngine:
@@ -106,8 +109,9 @@ class MatchingEngine:
                 best_seq, best = seq, desc
         return best
 
-    def post(self, pattern: Envelope, event: Event) -> None:
-        """Register a posted receive (call :meth:`claim` first)."""
+    def post(self, pattern: Envelope, event: Union[Event, ParkSlot]) -> None:
+        """Register a posted receive (call :meth:`claim` first);
+        delivery calls ``event.succeed(desc)``."""
         self._seq = seq = self._seq + 1
         entry = (seq, pattern, event)
         if pattern.src != ANY_SOURCE and pattern.tag != ANY_TAG:

@@ -13,7 +13,7 @@ from ..machine.fabric import FabricParams
 from ..transport import NetworkTransport, Transport, make_transport
 from .buffer import BaseBuffer, alloc
 from .communicator import Communicator
-from .context import RankContext
+from .context import _LOOP, RankContext, Route
 from .matching import MatchingEngine
 
 #: a rank program: ``program(ctx, *args)`` yielding simulation events
@@ -67,18 +67,18 @@ class World:
         waits, retransmit backoffs).  ``None`` (default) keeps every
         instrumentation site a single attribute check.
     engine:
-        ``"calendar"`` (default) — calendar queue plus the macro-event
-        fast path: blocking pt2pt calls run fused generators (no
-        request objects, no Timeout events, batched message
-        completion) that reproduce the reference path's timestamps
-        *exactly*; the fast path disarms itself whenever faults or a
-        span recorder are attached (those need the full
-        choreography).  ``"reference"`` — heap queue, reference
-        path; the differential tests run both and assert identical
-        results.  A resolved :class:`~repro.sim.spec.EngineSpec` is
-        accepted too.  The outcome of
-        :func:`~repro.sim.spec.resolve_engine` is queryable as
-        ``world.engine``.  See ``docs/ENGINE.md``.
+        ``"calendar"`` (default) — the macro-event fast path: blocking
+        pt2pt calls run fused generators (no request objects, no
+        Timeout events, batched message completion, receives parked
+        without an Event) that reproduce the reference path's
+        timestamps *exactly*; the fast path disarms itself whenever
+        faults or a span recorder are attached (those need the full
+        choreography).  ``"reference"`` — the reference path; the
+        differential tests run both and assert identical results.
+        Both engines run on the same heap scheduler.  A resolved
+        :class:`~repro.sim.spec.EngineSpec` is accepted too.  The
+        outcome of :func:`~repro.sim.spec.resolve_engine` is queryable
+        as ``world.engine``.  See ``docs/ENGINE.md``.
     resources:
         Attach a :class:`~repro.obs.resources.ResourceMonitor`
         recording per-resource busy/queue timelines.  Unlike ``obs``,
@@ -116,7 +116,7 @@ class World:
             faults=faults is not None,
             obs=obs is not None,
         )
-        self.sim = Simulator(queue=self.engine.queue)
+        self.sim = Simulator()
         self.cluster = Cluster(params.nodes, params.ppn)
         self.hw = ClusterHardware(self.sim, params)
         self.intra = make_transport(intra) if isinstance(intra, str) else intra
@@ -157,6 +157,14 @@ class World:
             obs.bind(self.sim)
             self.network.obs = obs
         self.loopback = _LoopbackTransport()
+        #: pt2pt routes (:class:`~repro.runtime.context.Route`): the
+        #: self-send route, and per source node a ``{dst node: Route}``
+        #: table built on first use and shared by the node's ranks
+        self.loop_route = Route(_LOOP, self.loopback)
+        self.routes: List[dict] = [{} for _ in range(self.cluster.nodes)]
+        #: interned envelopes, keyed ``(comm_id, src, tag)``: a rank's
+        #: send envelope doubles as its peers' receive pattern
+        self.envelopes: dict = {}
         self.functional = functional
         if pip_enabled is None:
             pip_enabled = self.intra.supports_peer_views

@@ -9,7 +9,7 @@ instances, and mailboxes are :class:`Store` queues.
 from .engine import Simulator
 from .errors import EventAlreadyTriggered, Interrupt, SimError, StopSimulation
 from .events import AllOf, AnyOf, Condition, Event, Timeout
-from .process import Process
+from .process import ParkSlot, Process
 from .resources import RateLimiter, Request, Resource
 from .spec import ENGINE_NAMES, EngineSpec, resolve_engine
 from .stores import FilterStore, Store
@@ -24,6 +24,7 @@ __all__ = [
     "EventAlreadyTriggered",
     "FilterStore",
     "Interrupt",
+    "ParkSlot",
     "Process",
     "RateLimiter",
     "Request",

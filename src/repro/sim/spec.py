@@ -3,13 +3,16 @@
 Two engines sit behind ``engine=``:
 
 ``reference``
-    Heap-queue scheduler, reference pt2pt choreography (no macro-event
-    fast path).  The ground truth the default engine is differentially
-    tested against.
+    Reference pt2pt choreography (no macro-event fast path).  The
+    ground truth the default engine is differentially tested against.
 ``calendar``
-    Calendar-queue scheduler with the macro-event fast path (the
-    default).  Both engines produce bit-identical simulated times,
-    records and counters.
+    The macro-event fast path (the default).  Both engines produce
+    bit-identical simulated times, records and counters.
+
+Both run on the simulator's one heap scheduler (:mod:`repro.sim.engine`);
+they differ only in whether the fast path is armed.  ``calendar`` keeps
+the name of the calendar queue it once ran on, because engine names are
+public API and part of every result-cache key.
 
 Every entry point funnels through :func:`resolve_engine` — the *single*
 place the downgrade rule lives.  Downgrades are explicit and
@@ -19,7 +22,7 @@ Downgrade rule
 --------------
 The calendar engine's fast path turns off when ``faults`` or a span
 recorder (``obs``) is attached: those need the full per-message
-choreography.  The calendar queue stays.
+choreography.  The scheduler is the same either way.
 """
 
 from __future__ import annotations
@@ -41,8 +44,6 @@ class EngineSpec:
 
     #: resolved engine name (one of :data:`ENGINE_NAMES`)
     name: str
-    #: scheduler backend: ``"calendar"`` or ``"heap"``
-    queue: str
     #: macro-event pt2pt fast path armed?
     fastpath: bool
     #: the engine string originally requested (None = the default)
@@ -52,8 +53,7 @@ class EngineSpec:
 
     def describe(self) -> str:
         """One-line summary for logs and ``repro info``."""
-        bits = [self.name, f"queue={self.queue}",
-                f"fastpath={'on' if self.fastpath else 'off'}"]
+        bits = [self.name, f"fastpath={'on' if self.fastpath else 'off'}"]
         if self.downgrades:
             bits.append("downgraded: " + "; ".join(self.downgrades))
         return " ".join(bits)
@@ -84,11 +84,11 @@ def resolve_engine(
             f"unknown engine {name!r}; available: {', '.join(ENGINE_NAMES)}"
         )
     if name == "reference":
-        return EngineSpec(name="reference", queue="heap", fastpath=False,
+        return EngineSpec(name="reference", fastpath=False,
                           requested=requested)
     fast = not faults and not obs
     downgrades = () if fast else (_fast_off_reason(faults, obs),)
-    return EngineSpec(name="calendar", queue="calendar", fastpath=fast,
+    return EngineSpec(name="calendar", fastpath=fast,
                       requested=requested, downgrades=downgrades)
 
 

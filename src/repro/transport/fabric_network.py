@@ -19,14 +19,14 @@ def _fabric_at_spine(arg):
     """Fast-path hop: pod downlink → destination leaf → NIC arrival."""
     _up, down, fp, up_time, world, arrive_arg = arg
     at_leaf = down.down.reserve(up_time) + fp.leaf_latency
-    world.sim.call_at(at_leaf, (_eager_arrive, arrive_arg))
+    world.sim.call_at(at_leaf, _eager_arrive, arrive_arg)
 
 
 def _fabric_at_leaf(arg):
     """Fast-path hop: source leaf → pod uplink → spine."""
     up, _down, fp, up_time, world, _arrive_arg = arg
     at_spine = up.up.reserve(up_time) + fp.spine_latency
-    world.sim.call_at(at_spine, (_fabric_at_spine, arg))
+    world.sim.call_at(at_spine, _fabric_at_spine, arg)
 
 
 class FabricNetworkTransport(NetworkTransport):
@@ -112,17 +112,15 @@ class FabricNetworkTransport(NetworkTransport):
         at_leaf = src_node.tx.reserve(wire) + fp.leaf_latency
         arrive_arg = (dst_node, wire, desc, world)
         if src_pod == dst_pod:
-            world.sim.call_at(at_leaf, (_eager_arrive, arrive_arg))
+            world.sim.call_at(at_leaf, _eager_arrive, arrive_arg)
             return True
         up = fabric.uplinks[src_pod]
         down = fabric.uplinks[dst_pod]
         up.bytes_up += wire_desc.nbytes
         down.bytes_down += wire_desc.nbytes
         up_time = fabric.uplink_time(wire_desc.nbytes)
-        world.sim.call_at(
-            at_leaf,
-            (_fabric_at_leaf, (up, down, fp, up_time, world, arrive_arg)),
-        )
+        world.sim.call_at(at_leaf, _fabric_at_leaf,
+                          (up, down, fp, up_time, world, arrive_arg))
         return True
 
     def delivery_steps(self, src_node: NodeHardware, dst_node: NodeHardware,

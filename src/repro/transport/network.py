@@ -34,7 +34,7 @@ def _eager_arrive(arg):
     dst_node, wire, desc, world = arg
     dst_node.rx_messages += 1
     finish = dst_node.rx.reserve(wire)
-    world.sim.call_at(finish, (world.deliver, desc))
+    world.sim.call_at(finish, world.deliver, desc)
 
 
 class NetworkTransport(Transport):
@@ -124,8 +124,8 @@ class NetworkTransport(Transport):
         src_node.tx_messages += 1
         wire = nic.wire_time(wire_desc.nbytes)
         arrival = src_node.tx.reserve(wire) + nic.latency
-        world.sim.call_at(arrival,
-                          (_eager_arrive, (dst_node, wire, desc, world)))
+        world.sim.call_at(arrival, _eager_arrive,
+                          (dst_node, wire, desc, world))
         return True
 
     def describe(self) -> str:

@@ -1,13 +1,10 @@
 """Event-count regression guards.
 
-The simulator's wall-clock cost is proportional to processed events.
-These tests pin loose upper bounds on the event counts of
-representative operations; an accidental choreography change that,
-say, reintroduces a per-chunk event loop would blow the bound long
-before anyone notices benchmarks taking ten times longer.
-
-Counts are deterministic, so the bounds can be tight-ish; they are
-still ~2× above current values to absorb legitimate model additions.
+The simulator's wall-clock cost is proportional to processed events,
+and event counts are deterministic — so these tests pin them
+*exactly*.  An accidental choreography change (say, a per-chunk event
+loop creeping back in) fails here at once; an intentional one updates
+the golden in the same change and says why in CHANGES.md.
 """
 
 from repro.bench.harness import _buffers, _invoke
@@ -41,9 +38,10 @@ def test_eager_message_event_budget():
             yield from ctx.recv(buf.view(), src=0, tag=0)
 
     world.run(program)
-    # One message: sender event, delivery chain (2), recv dispatch +
-    # completion, process bootstraps... budget 16.
-    assert world.sim.event_count <= 16, world.sim.event_count
+    # One eager message: two process kick-offs, the send dispatch, NIC
+    # arrival, RX drain (delivery), the recv dispatch, the match and
+    # the receiver-side copy-out, plus the two join events.
+    assert world.sim.event_count == 10, world.sim.event_count
 
 
 def test_flat_bruck_event_budget_per_message():
@@ -52,19 +50,21 @@ def test_flat_bruck_event_budget_per_message():
     import math
 
     messages = size * math.ceil(math.log2(size))
-    per_msg = events / messages
-    assert per_msg <= 12, f"{per_msg:.1f} events per message"
+    assert messages == 672
+    # 6.57 events per Bruck message.
+    assert events == 4416, f"{events / messages:.2f} events per message"
 
 
 def test_mcoll_allgather_event_budget():
     events, size = events_for("PiP-MColl", "allgather", 64,
                               broadwell_opa(nodes=16, ppn=6))
-    # 2 rounds × 96 messages + barriers + copies; budget 40/rank.
-    assert events <= 40 * size, f"{events} events for {size} ranks"
+    # 2 rounds × 96 messages + barriers + copies: 14.7 events per rank.
+    assert events == 1408, f"{events} events for {size} ranks"
 
 
 def test_full_scale_mcoll_stays_under_a_million_events():
     """The paper-scale PiP-MColl allgather must stay cheap to simulate
     (it is the point that gets re-run hundreds of times)."""
-    events, _ = events_for("PiP-MColl", "allgather", 64, broadwell_opa())
-    assert events < 1_000_000, events
+    events, size = events_for("PiP-MColl", "allgather", 64, broadwell_opa())
+    assert size == 2304
+    assert events == 31232, events

@@ -12,17 +12,20 @@ from repro.bench import bench_collective
 from repro.machine import small_test
 from repro.mpilibs import make_library
 from repro.runtime import World
+from repro.sim import Simulator
 from repro.sim.spec import ENGINE_NAMES, EngineSpec, resolve_engine
 
 
 def test_engine_names_resolve():
-    assert resolve_engine("reference").name == "reference"
-    assert resolve_engine("reference").queue == "heap"
-    assert not resolve_engine("reference").fastpath
+    ref = resolve_engine("reference")
+    assert (ref.name, ref.fastpath) == ("reference", False)
+    assert ref.requested == "reference" and ref.downgrades == ()
 
     cal = resolve_engine("calendar")
-    assert cal.name == "calendar" and cal.queue == "calendar" and cal.fastpath
+    assert (cal.name, cal.fastpath) == ("calendar", True)
     assert cal.requested == "calendar" and cal.downgrades == ()
+    # One scheduler for both engines: the spec no longer names a queue.
+    assert not hasattr(cal, "queue") and "queue" not in cal.describe()
 
 
 def test_unknown_engine_and_bad_suffix_raise():
@@ -45,6 +48,8 @@ def test_legacy_kwargs_are_rejected():
     with pytest.raises(TypeError):
         World(params, queue="heap")
     with pytest.raises(TypeError):
+        Simulator(queue="heap")
+    with pytest.raises(TypeError):
         make_library("MPICH").make_world(params, fastpath=False)
     with pytest.raises(TypeError):
         bench_collective("MPICH", "allgather", 16, params, fastpath=False)
@@ -52,13 +57,12 @@ def test_legacy_kwargs_are_rejected():
 
 def test_default_engine_and_fast_path_downgrade():
     spec = resolve_engine(None)
-    assert (spec.name, spec.queue, spec.fastpath) == ("calendar",
-                                                      "calendar", True)
+    assert (spec.name, spec.fastpath) == ("calendar", True)
     assert spec.requested is None
 
     for flag, needle in (("faults", "faults"), ("obs", "span recorder")):
         slow = resolve_engine(None, **{flag: True})
-        assert slow.name == "calendar" and slow.queue == "calendar"
+        assert slow.name == "calendar"
         assert not slow.fastpath, flag
         assert slow.downgrades == (f"fast path off ({needle} attached)",)
 

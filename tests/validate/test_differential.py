@@ -3,9 +3,9 @@ calendar engine vs reference engine vs the numpy oracle.
 
 Three-way agreement is checked for each sampled case:
 
-* the default ``calendar`` engine (calendar queue, macro-event fast
-  path) and the ``reference`` engine (heap queue, reference event
-  path) must produce **byte-identical per-rank results, the exact same
+* the default ``calendar`` engine (macro-event fast path) and the
+  ``reference`` engine (reference event path), both on the one heap
+  scheduler, must produce **byte-identical per-rank results, the exact same
   simulated time, and byte-identical resource telemetry** — the fast
   path is an engine optimisation, never a model change;
 * both must match :mod:`repro.validate.reference`, the pure-numpy
